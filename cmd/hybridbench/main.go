@@ -55,8 +55,7 @@ type WorkloadCurve struct {
 
 // MixedClassPoint summarises one deadline class of the shared
 // deadline-stratified workload (querygen.DeadlineStratified) under the
-// staged strategy. schedbench replays the identical preset through the
-// learned router, so routing results are comparable across benches.
+// staged strategy.
 type MixedClassPoint struct {
 	Class         string  `json:"class"`
 	DeadlineMs    int     `json:"deadline_ms"`

@@ -16,8 +16,6 @@
 //	POST /v1/optimize/batch — optimise many queries in one envelope, with
 //	                          deduplication and batched backend solves
 //	GET  /v1/backends   — list registered backends
-//	GET  /v1/sched      — learned-scheduler state: per-arm bandit models,
-//	                      pull counts, decision counters (-sched-* flags)
 //	GET  /v1/cluster    — cluster membership, peer health, routing counters
 //	                      (only with -self/-peers)
 //	GET  /metrics       — Prometheus text exposition of all counters,
@@ -76,7 +74,6 @@ import (
 	"quantumjoin/internal/noise"
 	"quantumjoin/internal/obs"
 	"quantumjoin/internal/qsim"
-	"quantumjoin/internal/sched"
 	"quantumjoin/internal/service"
 )
 
@@ -102,14 +99,9 @@ func main() {
 	pegasusM := flag.Int("pegasus-m", 6, "annealer hardware graph size (16 = full Advantage)")
 	qaoaQubits := flag.Int("qaoa-qubits", 16, "statevector budget of the qaoa backend")
 	precision := flag.String("precision", "complex128", "qaoa statevector precision: complex64 (half the memory traffic) or complex128")
-	hybridStrategy := flag.String("hybrid-strategy", "staged", "default hybrid strategy: race, staged, or learned")
+	hybridStrategy := flag.String("hybrid-strategy", "staged", "default hybrid strategy: race or staged")
 	hybridPortfolio := flag.String("hybrid-portfolio", "anneal,tabu,qaoa", "default hybrid portfolio (comma-separated backend names)")
 	hybridHedge := flag.Duration("hybrid-hedge", 25*time.Millisecond, "default hedge delay before the hybrid quantum stage")
-	schedArms := flag.String("sched-arms", "dp,anneal,tabu,qaoa", "learned scheduler arm set (comma-separated backend names; greedy floor is always added)")
-	schedState := flag.String("sched-state", "", "learned scheduler state file: loaded at boot, saved on shutdown (empty = in-memory only)")
-	schedAlpha := flag.Float64("sched-alpha", 0, "learned scheduler exploration width (0 = library default)")
-	schedMinPulls := flag.Int("sched-min-pulls", 0, "learned scheduler cold-start quota per arm (0 = library default)")
-	schedSaveInterval := flag.Duration("sched-save-interval", 0, "periodic scheduler state save (0 = save only at shutdown; needs -sched-state)")
 	decompBudget := flag.Int("decomp-part-budget", 12, "decomp: default relations per partition part (requests override with part_budget)")
 	decompSubsolver := flag.String("decomp-subsolver", "", "decomp: solve every part on this named backend instead of hybrid orchestration")
 	decompStandard := flag.Bool("decomp-standard-parts", false, "decomp: encode parts with the standard (non-compact) QUBO encoding")
@@ -224,27 +216,6 @@ func main() {
 			"seed", *chaosSeed, "backends", *resilient)
 	}
 
-	// The learned scheduler routes "learned"-strategy hybrid requests:
-	// contextual-bandit models per arm, the greedy floor always riding
-	// along as the safety arm. State survives restarts via -sched-state.
-	router, err := sched.NewRouter(sched.Config{
-		Arms:     splitList(*schedArms),
-		Alpha:    *schedAlpha,
-		MinPulls: *schedMinPulls,
-		Metrics:  svc.Metrics(),
-	})
-	if err != nil {
-		fail(fmt.Errorf("qjoind: %w", err))
-	}
-	if *schedState != "" {
-		loaded, err := router.LoadFile(*schedState)
-		if err != nil {
-			fail(fmt.Errorf("qjoind: -sched-state: %w", err))
-		}
-		logger.Info("learned scheduler state", "path", *schedState, "loaded", loaded)
-	}
-	svc.AddPromCollector(router.WriteProm)
-
 	// The hybrid orchestrator sits on top of the registry it races, so it
 	// registers after the service wires up metrics.
 	hb, err := hybrid.New(hybrid.Config{
@@ -253,7 +224,6 @@ func main() {
 		Strategy:   *hybridStrategy,
 		Portfolio:  splitList(*hybridPortfolio),
 		HedgeDelay: *hybridHedge,
-		Router:     router,
 	})
 	if err != nil {
 		fail(fmt.Errorf("qjoind: %w", err))
@@ -288,12 +258,7 @@ func main() {
 	// forwarded there (sticky encoding caches), identical concurrent
 	// requests coalesce into one solve, and batch envelopes are split by
 	// owner. A single-node deployment skips the wrapper entirely.
-	// The scheduler introspection endpoint mounts beside the service
-	// routes, inside any cluster wrapper so /v1/sched stays node-local.
-	mux := http.NewServeMux()
-	mux.Handle("/v1/sched", router.Handler())
-	mux.Handle("/", service.NewHandler(svc))
-	handler := http.Handler(mux)
+	handler := http.Handler(service.NewHandler(svc))
 	var node *cluster.Node
 	if *self != "" {
 		// An optional deterministic fault layer under the cluster
@@ -358,23 +323,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *schedState != "" && *schedSaveInterval > 0 {
-		go func() {
-			t := time.NewTicker(*schedSaveInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := router.SaveFile(*schedState); err != nil {
-						logger.Error("sched state save", "error", err)
-					}
-				}
-			}
-		}()
-	}
-
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening",
@@ -419,11 +367,6 @@ func main() {
 	}
 	if err := svc.Close(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("service shutdown", "error", err)
-	}
-	if *schedState != "" {
-		if err := router.SaveFile(*schedState); err != nil {
-			logger.Error("sched state save", "error", err)
-		}
 	}
 	logger.Info("bye")
 }

@@ -25,13 +25,6 @@ type Candidate struct {
 	Err error
 	// Elapsed is the backend's solve latency.
 	Elapsed time.Duration
-	// Fallback marks a candidate that ran purely as the safety floor of a
-	// learned routing decision. If it wins only because every primary
-	// candidate failed, the arbiter records a degraded outcome for it
-	// instead of a win — a forfeit says nothing about relative plan
-	// quality, and counting it as a win poisons reward signals derived
-	// from the win statistics.
-	Fallback bool
 }
 
 // vet validates a backend result the way the §3.5 post-processing does —
@@ -72,33 +65,14 @@ func (b *Backend) arbitrate(ctx context.Context, strategy string, candidates []C
 			best = i
 		}
 	}
-	// A fallback candidate that "won" while some primary ran but none
-	// produced a valid plan won by forfeit, not by arbitration.
-	forfeit := false
-	if best >= 0 && candidates[best].Fallback {
-		hadPrimary, validPrimary := false, false
-		for _, c := range candidates {
-			if c.Fallback {
-				continue
-			}
-			hadPrimary = true
-			if c.Decoded != nil {
-				validPrimary = true
-			}
-		}
-		forfeit = hadPrimary && !validPrimary
-	}
 	if b.cfg.Metrics != nil {
 		for i, c := range candidates {
 			bm := b.cfg.Metrics.Backend(c.Backend)
 			bm.Observe(c.Elapsed, c.Err)
-			switch {
-			case i != best:
-				bm.RecordLoss()
-			case forfeit:
-				bm.RecordDegraded()
-			default:
+			if i == best {
 				bm.RecordWin()
+			} else {
+				bm.RecordLoss()
 			}
 		}
 	}
@@ -106,9 +80,6 @@ func (b *Backend) arbitrate(ctx context.Context, strategy string, candidates []C
 		if span := obs.ActiveSpan(ctx); span != nil {
 			span.SetAttr("hybrid_winner", candidates[best].Backend)
 			span.SetAttr("hybrid_candidates", len(candidates))
-			if forfeit {
-				span.SetAttr("hybrid_forfeit", true)
-			}
 		}
 		obs.Logger(ctx).DebugContext(ctx, "hybrid arbitration",
 			"strategy", strategy,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,18 +91,29 @@ func TestHTTPHybridEndToEnd(t *testing.T) {
 		})
 	}
 
-	// An invalid strategy must surface as 400 through the whole stack.
-	raw, _ := json.Marshal(map[string]any{
-		"backend": "hybrid", "query": json.RawMessage(chainCatalog),
-		"strategy": "tournament",
-	})
-	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid strategy: status %d, want 400", resp.StatusCode)
+	// An invalid strategy, including the removed "learned" one, must
+	// surface as 400 through the whole stack, naming the strategies that
+	// exist.
+	for _, strategy := range []string{"tournament", "learned"} {
+		raw, _ := json.Marshal(map[string]any{
+			"backend": "hybrid", "query": json.RawMessage(chainCatalog),
+			"strategy": strategy,
+		})
+		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("strategy %q: status %d, want 400", strategy, resp.StatusCode)
+		}
+		if err != nil || !strings.Contains(e.Error, "(have: race, staged)") {
+			t.Errorf("strategy %q: error %q (decode err %v), want it to list (have: race, staged)", strategy, e.Error, err)
+		}
 	}
 
 	// /metrics.json must expose hybrid requests and arbitration outcomes.
@@ -114,9 +126,9 @@ func TestHTTPHybridEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	mresp.Body.Close()
-	// 3 successful orchestrations plus the rejected-strategy attempt.
-	if hb, ok := snap.Backends["hybrid"]; !ok || hb.Requests != 4 || hb.Errors != 1 {
-		t.Errorf("hybrid backend metrics = %+v, want 4 requests / 1 error", snap.Backends["hybrid"])
+	// 3 successful orchestrations plus the two rejected-strategy attempts.
+	if hb, ok := snap.Backends["hybrid"]; !ok || hb.Requests != 5 || hb.Errors != 2 {
+		t.Errorf("hybrid backend metrics = %+v, want 5 requests / 2 errors", snap.Backends["hybrid"])
 	}
 	var wins int64
 	for _, bs := range snap.Backends {

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"quantumjoin/internal/core"
-	"quantumjoin/internal/sched"
 	"quantumjoin/internal/service"
 )
 
@@ -36,12 +35,6 @@ import (
 const (
 	StrategyRace   = "race"
 	StrategyStaged = "staged"
-	// StrategyLearned routes with the contextual-bandit scheduler
-	// (Config.Router): straight to the predicted-best backend when the
-	// model is confident, an uncertainty-sized race when not, the
-	// classical floor always riding along as a safety arm. Requires a
-	// configured router.
-	StrategyLearned = "learned"
 )
 
 // Name is the registry name of the hybrid backend.
@@ -73,11 +66,6 @@ type Config struct {
 	// MaxDPRelations caps the instance size for the DP pass of the staged
 	// classical stage, which does not poll the context (default 18).
 	MaxDPRelations int
-	// Router is the learned scheduler behind the "learned" strategy:
-	// requests selecting it are routed per its contextual-bandit decision,
-	// and arbiter outcomes feed its reward updates. Required for
-	// StrategyLearned, ignored by the other strategies.
-	Router *sched.Router
 }
 
 func (c Config) withDefaults() Config {
@@ -112,13 +100,7 @@ func New(cfg Config) (*Backend, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("hybrid: config needs a backend registry")
 	}
-	switch cfg.Strategy {
-	case StrategyRace, StrategyStaged:
-	case StrategyLearned:
-		if cfg.Router == nil {
-			return nil, fmt.Errorf("hybrid: the learned default strategy needs a configured router")
-		}
-	default:
+	if cfg.Strategy != StrategyRace && cfg.Strategy != StrategyStaged {
 		return nil, fmt.Errorf("hybrid: unknown default strategy %q", cfg.Strategy)
 	}
 	return &Backend{cfg: cfg}, nil
@@ -166,10 +148,8 @@ func (b *Backend) Orchestrate(ctx context.Context, enc *core.Encoding, p service
 		return b.race(ctx, enc, p, portfolio, skippedOpen)
 	case StrategyStaged:
 		return b.staged(ctx, enc, p, portfolio, skippedOpen)
-	case StrategyLearned:
-		return b.learned(ctx, enc, p)
 	default:
-		return nil, fmt.Errorf("hybrid: unknown strategy %q (have: race, staged, learned): %w",
+		return nil, fmt.Errorf("hybrid: unknown strategy %q (have: race, staged): %w",
 			strategy, service.ErrBadRequest)
 	}
 }

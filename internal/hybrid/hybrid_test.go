@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,18 +250,25 @@ func TestPortfolioValidation(t *testing.T) {
 	_, enc := cliqueInstance(t, 4, 9)
 	ctx := context.Background()
 
+	// want is a substring the error must carry; an unknown strategy
+	// lists exactly the strategies that exist.
 	cases := []struct {
 		name   string
 		hybrid service.HybridParams
+		want   string
 	}{
-		{"recursive portfolio", service.HybridParams{Portfolio: []string{"hybrid"}}},
-		{"unknown backend", service.HybridParams{Portfolio: []string{"warp-drive"}}},
-		{"unknown strategy", service.HybridParams{Strategy: "tournament"}},
+		{"recursive portfolio", service.HybridParams{Portfolio: []string{"hybrid"}}, ""},
+		{"unknown backend", service.HybridParams{Portfolio: []string{"warp-drive"}}, ""},
+		{"unknown strategy", service.HybridParams{Strategy: "tournament"}, "(have: race, staged)"},
+		{"removed learned strategy", service.HybridParams{Strategy: "learned"}, "(have: race, staged)"},
 	}
 	for _, tc := range cases {
 		_, err := b.Orchestrate(ctx, enc, service.Params{Hybrid: tc.hybrid})
 		if !errors.Is(err, service.ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
 		}
 	}
 

@@ -73,8 +73,8 @@ func (c WorkloadConfig) withDefaults() WorkloadConfig {
 	return c
 }
 
-// DeadlineStratified generates the mixed-deadline routing workload shared
-// by schedbench and hybridbench: every combination of graph shape
+// DeadlineStratified generates the mixed-deadline workload shared by
+// hybridbench and qjbench: every combination of graph shape
 // (chain, star, clique, tree), cardinality skew (uniform and 0.5) and
 // deadline class (tight, medium, loose), PerCell instances each, using
 // the paper-style integer-log parameters (§4.1) so instances match the

@@ -44,10 +44,6 @@ type Params struct {
 	Hybrid HybridParams
 	// Decomp tunes the decomposition backend; other backends ignore it.
 	Decomp DecompParams
-	// CacheHit reports whether this request's encoding came from the
-	// service's encoding cache. Populated by the service, not by clients;
-	// the learned scheduler consumes it as a routing feature.
-	CacheHit bool
 }
 
 // DecompParams tune the graph-partition decomposition backend. The zero
@@ -61,12 +57,9 @@ type DecompParams struct {
 // HybridParams select and tune a hybrid orchestration strategy. The zero
 // value picks the backend's defaults.
 type HybridParams struct {
-	// Strategy is "race" (portfolio racing: first valid result wins),
+	// Strategy is "race" (portfolio racing: first valid result wins) or
 	// "staged" (classical first, hedged quantum launch, anytime
-	// improvement until the deadline), or "learned" (contextual-bandit
-	// routing: straight to the predicted-best backend when confident, a
-	// sized-down race when not; requires a configured scheduler). Empty
-	// selects the backend default.
+	// improvement until the deadline). Empty selects the backend default.
 	Strategy string
 	// Portfolio lists the backend names to race or stage; empty selects
 	// the backend default portfolio.

@@ -24,10 +24,9 @@ import (
 // negative values are rejected with 400.
 //
 // Strategy, Portfolio, and HedgeMs tune the hybrid backend only: Strategy
-// is "race", "staged", or "learned" (contextual-bandit routing; needs the
-// daemon's scheduler enabled), Portfolio lists backend names to
-// orchestrate, and HedgeMs is the staged strategy's hedge delay in
-// milliseconds (0 default, negative launches quantum stages immediately).
+// is "race" or "staged", Portfolio lists backend names to orchestrate, and
+// HedgeMs is the staged strategy's hedge delay in milliseconds (0 default,
+// negative launches quantum stages immediately).
 //
 // Lean trims the response for throughput-sensitive callers: the rendered
 // join tree and the optimal-cost comparison (a classical DP per unseen

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,11 +130,10 @@ func (b *BackendMetrics) RecordWin() { b.wins.Add(1) }
 func (b *BackendMetrics) RecordLoss() { b.losses.Add(1) }
 
 // RecordDegraded counts a degraded outcome: this backend's answer was used
-// only because every primary candidate failed (a classical-degradation
-// fallback or a hybrid safety-arm forfeit). Kept distinct from RecordWin so
-// reward signals derived from win counts are not poisoned by forfeits —
-// a fallback that "wins" because everything else broke says nothing about
-// its plan quality relative to the field.
+// only because the chosen backend failed (the classical-degradation
+// fallback). Kept distinct from RecordWin: a fallback that answers because
+// everything else broke says nothing about its plan quality relative to
+// the field.
 func (b *BackendMetrics) RecordDegraded() { b.degraded.Add(1) }
 
 // RecordRetry counts one retried solve attempt (the resilience wrapper in
@@ -267,57 +265,16 @@ func (m *Metrics) Snapshot(cache *EncodingCache) Snapshot {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for name, b := range m.backends {
-		s.Backends[name] = b.snapshot()
+		s.Backends[name] = BackendSnapshot{
+			Requests: b.requests.Load(),
+			Errors:   b.errors.Load(),
+			Wins:     b.wins.Load(),
+			Losses:   b.losses.Load(),
+			Degraded: b.degraded.Load(),
+			Retries:  b.retries.Load(),
+			Faults:   b.faults.Load(),
+			Latency:  b.lat.snapshot(),
+		}
 	}
 	return s
-}
-
-func (b *BackendMetrics) snapshot() BackendSnapshot {
-	return BackendSnapshot{
-		Requests: b.requests.Load(),
-		Errors:   b.errors.Load(),
-		Wins:     b.wins.Load(),
-		Losses:   b.losses.Load(),
-		Degraded: b.degraded.Load(),
-		Retries:  b.retries.Load(),
-		Faults:   b.faults.Load(),
-		Latency:  b.lat.snapshot(),
-	}
-}
-
-// MetricsReader is the typed read-side of Metrics: per-backend win/loss/
-// latency snapshots for in-process consumers (the learned scheduler, debug
-// endpoints) that previously had no option but to poke unexported fields
-// or scrape the Prometheus text exposition.
-type MetricsReader interface {
-	// BackendNames lists the backends with recorded metrics, sorted.
-	BackendNames() []string
-	// ReadBackend snapshots one backend's counters; ok is false when the
-	// backend has never recorded anything.
-	ReadBackend(name string) (snap BackendSnapshot, ok bool)
-}
-
-var _ MetricsReader = (*Metrics)(nil)
-
-// BackendNames lists the backends with recorded metrics, sorted.
-func (m *Metrics) BackendNames() []string {
-	m.mu.RLock()
-	names := make([]string, 0, len(m.backends))
-	for name := range m.backends {
-		names = append(names, name)
-	}
-	m.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-// ReadBackend snapshots one backend's counters without creating it.
-func (m *Metrics) ReadBackend(name string) (BackendSnapshot, bool) {
-	m.mu.RLock()
-	b, ok := m.backends[name]
-	m.mu.RUnlock()
-	if !ok {
-		return BackendSnapshot{}, false
-	}
-	return b.snapshot(), true
 }

@@ -80,44 +80,3 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
 }
-
-// TestMetricsReader exercises the typed read-side accessor: sorted names,
-// per-backend snapshots without creation side effects, and the degraded
-// counter kept distinct from wins.
-func TestMetricsReader(t *testing.T) {
-	m := NewMetrics()
-	var _ MetricsReader = m
-
-	m.Backend("tabu").Observe(3*time.Millisecond, nil)
-	m.Backend("tabu").RecordWin()
-	m.Backend("anneal").RecordLoss()
-	m.Backend("greedy").RecordDegraded()
-
-	if got := m.BackendNames(); len(got) != 3 ||
-		got[0] != "anneal" || got[1] != "greedy" || got[2] != "tabu" {
-		t.Fatalf("BackendNames() = %v, want sorted [anneal greedy tabu]", got)
-	}
-
-	ts, ok := m.ReadBackend("tabu")
-	if !ok || ts.Wins != 1 || ts.Requests != 1 || ts.Latency.Count != 1 {
-		t.Errorf("tabu snapshot = %+v ok=%v, want 1 win, 1 request, 1 latency obs", ts, ok)
-	}
-	gs, ok := m.ReadBackend("greedy")
-	if !ok || gs.Degraded != 1 || gs.Wins != 0 {
-		t.Errorf("greedy snapshot = %+v, want degraded=1 wins=0", gs)
-	}
-
-	// Reading an unknown backend must not lazily create it.
-	if _, ok := m.ReadBackend("phantom"); ok {
-		t.Error("ReadBackend fabricated a snapshot for an unknown backend")
-	}
-	if got := m.BackendNames(); len(got) != 3 {
-		t.Errorf("ReadBackend created a backend entry: %v", got)
-	}
-
-	// The degraded counter also lands in the full JSON snapshot.
-	snap := m.Snapshot(nil)
-	if snap.Backends["greedy"].Degraded != 1 {
-		t.Errorf("Snapshot degraded = %d, want 1", snap.Backends["greedy"].Degraded)
-	}
-}

@@ -140,23 +140,5 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 		p.Family("qjoind_traces_dropped_total", "Traces dropped by the sampling policy.", "counter")
 		p.Sample("qjoind_traces_dropped_total", nil, float64(st.Dropped))
 	}
-
-	s.collectorsMu.RLock()
-	var collectors []func(*obs.PromWriter)
-	collectors = append(collectors, s.promCollectors...)
-	s.collectorsMu.RUnlock()
-	for _, c := range collectors {
-		c(p)
-	}
 	return p.Err()
-}
-
-// AddPromCollector registers an extra metric-family writer appended to
-// every /metrics scrape — the hook subsystems outside the service (the
-// learned scheduler, cluster layers) use to publish their families without
-// the service importing them.
-func (s *Service) AddPromCollector(c func(*obs.PromWriter)) {
-	s.collectorsMu.Lock()
-	s.promCollectors = append(s.promCollectors, c)
-	s.collectorsMu.Unlock()
 }

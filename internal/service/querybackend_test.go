@@ -147,7 +147,7 @@ func TestQueryBackendFailureDegrades(t *testing.T) {
 		t.Errorf("degraded order %v is not a permutation", resp.Order)
 	}
 	// The fallback producer's degraded counter moved; its win count did not.
-	bs, ok := svc.Metrics().ReadBackend(resp.Backend)
+	bs, ok := svc.MetricsSnapshot().Backends[resp.Backend]
 	if !ok || bs.Degraded != 1 || bs.Wins != 0 {
 		t.Errorf("fallback %q snapshot = %+v ok=%v, want degraded=1 wins=0", resp.Backend, bs, ok)
 	}

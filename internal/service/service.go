@@ -91,9 +91,6 @@ type Service struct {
 	metrics *Metrics
 	scratch sync.Pool // *reqScratch, reused across requests
 	batch   sync.Pool // *batchScratch, reused across batch envelopes
-
-	collectorsMu   sync.RWMutex
-	promCollectors []func(*obs.PromWriter) // extra /metrics families (AddPromCollector)
 }
 
 // reqScratch is the per-request working storage of the warm optimize
@@ -357,12 +354,7 @@ func (s *Service) solveInto(ctx context.Context, backend Backend, req *Request, 
 	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
 	solveSpan.SetAttrStr("backend", backend.Name())
 	solveStart := time.Now()
-	// Thread the cache outcome into the solve parameters: the learned
-	// scheduler uses it as a routing feature (a warm encoding shifts the
-	// latency profile of every arm). Local copy — Params is a value struct.
-	ps := req.Params
-	ps.CacheHit = hit
-	d, err := s.safeSolve(solveCtx, backend, enc, ps)
+	d, err := s.safeSolve(solveCtx, backend, enc, req.Params)
 	if err == nil {
 		// Never trust a backend's result structurally: an unreliable QPU
 		// (or a fault injector standing in for one) can return corrupted
