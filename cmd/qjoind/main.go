@@ -73,7 +73,6 @@ import (
 	"quantumjoin/internal/hybrid"
 	"quantumjoin/internal/noise"
 	"quantumjoin/internal/obs"
-	"quantumjoin/internal/qsim"
 	"quantumjoin/internal/service"
 )
 
@@ -98,7 +97,6 @@ func main() {
 	defaultBackend := flag.String("default-backend", "anneal", "backend used when a request names none")
 	pegasusM := flag.Int("pegasus-m", 6, "annealer hardware graph size (16 = full Advantage)")
 	qaoaQubits := flag.Int("qaoa-qubits", 16, "statevector budget of the qaoa backend")
-	precision := flag.String("precision", "complex128", "qaoa statevector precision: complex64 (half the memory traffic) or complex128")
 	hybridStrategy := flag.String("hybrid-strategy", "staged", "default hybrid strategy: race or staged")
 	hybridPortfolio := flag.String("hybrid-portfolio", "anneal,tabu,qaoa", "default hybrid portfolio (comma-separated backend names)")
 	hybridHedge := flag.Duration("hybrid-hedge", 25*time.Millisecond, "default hedge delay before the hybrid quantum stage")
@@ -151,14 +149,9 @@ func main() {
 		Profile:    *pprofOn,
 	})
 
-	prec, err := qsim.ParsePrecision(*precision)
-	if err != nil {
-		usageError(err.Error())
-	}
 	reg := service.DefaultRegistry(service.RegistryConfig{
 		PegasusM:      *pegasusM,
 		MaxQAOAQubits: *qaoaQubits,
-		QAOAPrecision: prec,
 	})
 	svc := service.New(reg, service.Config{
 		Workers:        *workers,

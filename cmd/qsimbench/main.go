@@ -1,9 +1,8 @@
 // Command qsimbench measures the simulator stack's fast path: strided
-// versus reference statevector kernels (at both complex128 and complex64
-// precision), serial versus worker-pool execution, fused versus
-// gate-by-gate diagonal layers, the cost-table versus per-basis-state QAOA
-// expectation, batched versus sequential multi-seed sampling and
-// annealing, and the warm (cached, Lean) service optimize path. Results go
+// versus reference statevector kernels, serial versus worker-pool
+// execution, the cost-table versus per-basis-state QAOA expectation, full
+// QAOA energy evaluations, batched versus sequential multi-seed sampling
+// and annealing, and the warm (cached, Lean) service optimize path. Results go
 // to a JSON file (default BENCH_qsim.json) with the host's CPU budget
 // recorded, since kernel-level parallel speedup is only visible when
 // GOMAXPROCS > 1.
@@ -75,17 +74,6 @@ func randomize(s *qsim.State, rng *rand.Rand, n int) {
 	}
 }
 
-func diagLayer(n int) *circuit.Circuit {
-	c := circuit.New(n)
-	for q := 0; q < n; q++ {
-		c.Append(circuit.G1(circuit.RZ, q, 0.3+float64(q)*0.01))
-	}
-	for q := 0; q < n; q++ {
-		c.Append(circuit.G2(circuit.RZZ, q, (q+1)%n, 0.7+float64(q)*0.01))
-	}
-	return c
-}
-
 func denseQUBO(rng *rand.Rand, n int) *qubo.QUBO {
 	q := qubo.New(n)
 	for i := 0; i < n; i++ {
@@ -129,15 +117,6 @@ func chainQuery(n int, scale float64) *join.Query {
 		q.Predicates = append(q.Predicates, join.Predicate{R1: i, R2: i + 1, Sel: 0.1})
 	}
 	return q
-}
-
-// precSuffix distinguishes complex64 measurements; complex128 keeps the
-// historical bare names so old baseline reports stay comparable.
-func precSuffix(p qsim.Precision) string {
-	if p == qsim.Complex64 {
-		return "/c64"
-	}
-	return ""
 }
 
 // loadReport reads a previously written benchmark report.
@@ -190,22 +169,9 @@ func main() {
 	out := flag.String("o", "BENCH_qsim.json", "output JSON path")
 	budget := flag.Duration("t", 2*time.Second, "minimum measurement time per case")
 	maxQubits := flag.Int("max-qubits", 24, "largest statevector size (2^n amplitudes)")
-	precFlag := flag.String("precision", "both", "statevector widths to measure: complex64, complex128, or both")
 	baselinePath := flag.String("compare", "", "baseline report; after measuring, print ratios and exit 1 on regression")
 	tol := flag.Float64("tolerance", 0.10, "allowed fractional slowdown per case vs the -compare baseline")
 	flag.Parse()
-
-	var precisions []qsim.Precision
-	if *precFlag == "both" {
-		precisions = []qsim.Precision{qsim.Complex128, qsim.Complex64}
-	} else {
-		p, err := qsim.ParsePrecision(*precFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		precisions = []qsim.Precision{p}
-	}
 
 	rep := &Report{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -225,63 +191,37 @@ func main() {
 		if n > *maxQubits {
 			continue
 		}
-		for _, prec := range precisions {
-			suff := precSuffix(prec)
-			rng := rand.New(rand.NewSource(int64(n)))
-			s, err := qsim.NewStateWith(n, prec)
-			if err != nil {
+		rng := rand.New(rand.NewSource(int64(n)))
+		s, err := qsim.NewState(n)
+		if err != nil {
+			panic(err)
+		}
+		randomize(s, rng, n)
+
+		// Reference full-sweep serial kernel: one Hadamard.
+		iters, ns := timeIt(*budget, func() {
+			if err := s.ApplyGateRef(circuit.G1(circuit.H, 0, 0)); err != nil {
 				panic(err)
 			}
-			randomize(s, rng, n)
-			layer := diagLayer(n)
+		})
+		add("h/reference", n, 1, iters, ns)
 
-			if prec == qsim.Complex128 {
-				// Reference full-sweep serial kernel: one Hadamard. The
-				// reference kernels exist only at ground-truth precision.
-				iters, ns := timeIt(*budget, func() {
-					if err := s.ApplyGateRef(circuit.G1(circuit.H, 0, 0)); err != nil {
-						panic(err)
-					}
-				})
-				add("h/reference", n, 1, iters, ns)
-			}
+		for _, w := range workerSettings {
+			prev := qsim.SetWorkers(w)
+			iters, ns := timeIt(*budget, func() {
+				if err := s.ApplyGate(circuit.G1(circuit.H, 0, 0)); err != nil {
+					panic(err)
+				}
+			})
+			add("h/strided", n, w, iters, ns)
 
-			for _, w := range workerSettings {
-				prev := qsim.SetWorkers(w)
-				iters, ns := timeIt(*budget, func() {
-					if err := s.ApplyGate(circuit.G1(circuit.H, 0, 0)); err != nil {
-						panic(err)
-					}
-				})
-				add("h/strided"+suff, n, w, iters, ns)
-
-				iters, ns = timeIt(*budget, func() {
-					if err := s.ApplyGate(circuit.G2(circuit.CX, 0, n-1, 0)); err != nil {
-						panic(err)
-					}
-				})
-				add("cx/strided"+suff, n, w, iters, ns)
-
-				iters, ns = timeIt(*budget, func() {
-					if err := s.Run(layer); err != nil {
-						panic(err)
-					}
-				})
-				add("diag-layer/fused"+suff, n, w, iters, ns)
-				qsim.SetWorkers(prev)
-			}
-
-			if prec == qsim.Complex128 {
-				// Gate-by-gate diagonal layer through the reference kernels.
-				iters, ns := timeIt(*budget, func() {
-					for _, g := range layer.Gates {
-						if err := s.ApplyGateRef(g); err != nil {
-							panic(err)
-						}
-					}
-				})
-				add("diag-layer/gate-by-gate", n, 1, iters, ns)
-			}
+			iters, ns = timeIt(*budget, func() {
+				if err := s.ApplyGate(circuit.G2(circuit.CX, 0, n-1, 0)); err != nil {
+					panic(err)
+				}
+			})
+			add("cx/strided", n, w, iters, ns)
+			qsim.SetWorkers(prev)
 		}
 	}
 
@@ -291,68 +231,64 @@ func main() {
 		if n > *maxQubits {
 			continue
 		}
-		for _, prec := range precisions {
-			suff := precSuffix(prec)
-			rng := rand.New(rand.NewSource(int64(n)))
-			q := denseQUBO(rng, n)
-			params := qaoa.NewParams(1)
-			params.Gammas[0] = 0.37
-			params.Betas[0] = 0.41
-			ex := &qaoa.Executor{QUBO: q, Precision: prec}
-			s, err := qsim.NewStateWith(n, prec)
-			if err != nil {
+		rng := rand.New(rand.NewSource(int64(n)))
+		q := denseQUBO(rng, n)
+		params := qaoa.NewParams(1)
+		params.Gammas[0] = 0.37
+		params.Betas[0] = 0.41
+		ex := &qaoa.Executor{QUBO: q}
+		s, err := qsim.NewState(n)
+		if err != nil {
+			panic(err)
+		}
+		randomize(s, rng, n)
+
+		iters, ns := timeIt(*budget, func() {
+			_ = s.ExpectationDiag(func(b uint64) float64 { return q.ValueBits(b) })
+		})
+		add("qaoa-expectation/valuebits", n, 1, iters, ns)
+
+		table := q.CostTable()
+		for _, w := range workerSettings {
+			prev := qsim.SetWorkers(w)
+			iters, ns := timeIt(*budget, func() {
+				_ = s.ExpectationTable(table)
+			})
+			add("qaoa-expectation/table", n, w, iters, ns)
+			qsim.SetWorkers(prev)
+		}
+
+		// Full evaluation (state preparation + expectation) through the
+		// Executor.
+		iters, ns = timeIt(*budget, func() {
+			if _, err := ex.Expectation(params); err != nil {
 				panic(err)
 			}
-			randomize(s, rng, n)
+		})
+		add("qaoa-eval/table", n, 0, iters, ns)
 
-			if prec == qsim.Complex128 {
-				iters, ns := timeIt(*budget, func() {
-					_ = s.ExpectationDiag(func(b uint64) float64 { return q.ValueBits(b) })
-				})
-				add("qaoa-expectation/valuebits", n, 1, iters, ns)
-			}
-
-			table := q.CostTable()
-			for _, w := range workerSettings {
-				prev := qsim.SetWorkers(w)
-				iters, ns := timeIt(*budget, func() {
-					_ = s.ExpectationTable(table)
-				})
-				add("qaoa-expectation/table"+suff, n, w, iters, ns)
-				qsim.SetWorkers(prev)
-			}
-
-			// Full evaluation (circuit + expectation) through the Executor.
-			iters, ns := timeIt(*budget, func() {
-				if _, err := ex.Expectation(params); err != nil {
-					panic(err)
-				}
-			})
-			add("qaoa-eval/table"+suff, n, 0, iters, ns)
-
-			// Multi-seed measurement: R independent shot streams drawn
-			// sequentially vs in one strided pass over the state.
-			const streams, shots = 32, 64
-			rngs := make([]*rand.Rand, streams)
-			for r := range rngs {
-				rngs[r] = rand.New(rand.NewSource(int64(1000 + r)))
-			}
-			iters, ns = timeIt(*budget, func() {
-				for _, rr := range rngs {
-					if _, err := ex.Sample(params, shots, rr); err != nil {
-						panic(err)
-					}
-				}
-			})
-			add("qaoa-sample/solo"+suff, n, 0, iters, ns)
-			iters, ns = timeIt(*budget, func() {
-				if _, err := ex.SampleSeeds(params, shots, rngs); err != nil {
-					panic(err)
-				}
-			})
-			add("qaoa-sample/batch"+suff, n, 0, iters, ns)
-			ex.Close()
+		// Multi-seed measurement: R independent shot streams drawn
+		// sequentially vs in one strided pass over the state.
+		const streams, shots = 32, 64
+		rngs := make([]*rand.Rand, streams)
+		for r := range rngs {
+			rngs[r] = rand.New(rand.NewSource(int64(1000 + r)))
 		}
+		iters, ns = timeIt(*budget, func() {
+			for _, rr := range rngs {
+				if _, err := ex.Sample(params, shots, rr); err != nil {
+					panic(err)
+				}
+			}
+		})
+		add("qaoa-sample/solo", n, 0, iters, ns)
+		iters, ns = timeIt(*budget, func() {
+			if _, err := ex.SampleSeeds(params, shots, rngs); err != nil {
+				panic(err)
+			}
+		})
+		add("qaoa-sample/batch", n, 0, iters, ns)
+		ex.Close()
 	}
 
 	// Annealing restarts: R replicas swept one at a time vs in one

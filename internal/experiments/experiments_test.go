@@ -211,7 +211,7 @@ func TestRunFigure3(t *testing.T) {
 	if !strings.Contains(buf.String(), "Figure 3") {
 		t.Error("render missing header")
 	}
-	// Precision frontier: higher precision (smaller ω) must not allow
+	// Discretisation frontier: higher precision (smaller ω) must not allow
 	// more thresholds.
 	front := res.MaxFeasibleThresholds()
 	if front[0.0001] > front[1] {

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// BenchmarkQAOAExpectation compares one optimiser energy evaluation through
-// the per-basis-state ValueBits closure (the old inner loop) against the
-// precomputed dense cost table. The table is built once outside the timed
-// loop, as it is in a real run (cached across optimiser iterations).
+// BenchmarkQAOAExpectation measures one optimiser energy evaluation (state
+// preparation from the cost table plus the expectation) and the
+// expectation sweep alone. The table is built once outside the timed loop,
+// as it is in a real run (cached across optimiser iterations).
 func BenchmarkQAOAExpectation(b *testing.B) {
-	sizes := []int{16, 20}
+	sizes := []int{12, 16, 20}
 	if testing.Short() {
 		sizes = []int{16}
 	}
@@ -22,20 +22,6 @@ func BenchmarkQAOAExpectation(b *testing.B) {
 		params.Gammas[0] = 0.37
 		params.Betas[0] = 0.41
 
-		b.Run(fmt.Sprintf("n=%d/valuebits", n), func(b *testing.B) {
-			ex := &Executor{QUBO: q}
-			ex.haveTable = true // nil table: per-amplitude ValueBits
-			defer ex.Close()
-			if _, err := ex.Expectation(params); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.Expectation(params); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("n=%d/table", n), func(b *testing.B) {
 			ex := &Executor{QUBO: q}
 			defer ex.Close()
@@ -49,20 +35,7 @@ func BenchmarkQAOAExpectation(b *testing.B) {
 				}
 			}
 		})
-		// Isolate the expectation sweep itself (no circuit re-execution):
-		// this is the piece the cost table accelerates.
-		b.Run(fmt.Sprintf("n=%d/sweep-valuebits", n), func(b *testing.B) {
-			ex := &Executor{QUBO: q}
-			defer ex.Close()
-			s, err := ex.run(params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.ExpectationDiag(func(bb uint64) float64 { return q.ValueBits(bb) })
-			}
-		})
+		// Isolate the expectation sweep itself (no state preparation).
 		b.Run(fmt.Sprintf("n=%d/sweep-table", n), func(b *testing.B) {
 			ex := &Executor{QUBO: q}
 			defer ex.Close()
@@ -71,9 +44,6 @@ func BenchmarkQAOAExpectation(b *testing.B) {
 				b.Fatal(err)
 			}
 			tab := ex.table()
-			if tab == nil {
-				b.Fatal("no cost table built")
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = s.ExpectationTable(tab)

@@ -57,7 +57,12 @@ func paramsFromFlat(v []float64) Params {
 // BuildCircuit constructs the QAOA circuit for a QUBO: Hadamards on all
 // qubits, then per layer an RZ per linear Ising field, an RZZ per coupling
 // (these are the quadratic contributions whose count drives depth, §3.4),
-// and an RX mixer on every qubit.
+// and an RX mixer on every qubit. The cost gates apply exp(-iγH_C) up to a
+// global phase: ToIsing maps bit 1 to spin +1, while Z has eigenvalue -1
+// on |1⟩, so a field h_i·s_i is RZ(-2γh_i); a coupling J_ij·s_i·s_j is
+// sign-blind and stays RZZ(2γJ_ij). The executor never simulates this
+// circuit (it applies the cost table directly); it feeds transpilation and
+// the noise model's gate counts.
 func BuildCircuit(q *qubo.QUBO, params Params) *circuit.Circuit {
 	is := q.ToIsing()
 	c := circuit.New(q.N())
@@ -68,7 +73,7 @@ func BuildCircuit(q *qubo.QUBO, params Params) *circuit.Circuit {
 		gamma := params.Gammas[layer]
 		for i, h := range is.H {
 			if h != 0 {
-				c.Append(circuit.G1(circuit.RZ, i, 2*gamma*h))
+				c.Append(circuit.G1(circuit.RZ, i, -2*gamma*h))
 			}
 		}
 		for _, p := range sortedPairs(is) {
@@ -90,75 +95,6 @@ func sortedPairs(is *qubo.Ising) []qubo.Pair {
 	return tmp.QuadTerms()
 }
 
-// program is a compiled circuit skeleton: the gate list of BuildCircuit
-// whose structure depends only on the QUBO and the layer count, never on
-// (γ, β). Per evaluation the variational angles are rewritten in place —
-// gate i's Param is factor[i] times its layer's γ or β — instead of
-// re-deriving the Ising form, re-sorting couplings, and re-allocating the
-// whole circuit on every optimiser step.
-type program struct {
-	circ   *circuit.Circuit
-	layers int
-	factor []float64 // 2h for RZ, 2J for RZZ, 2 for RX; 0 marks fixed gates
-	layer  []int
-	gamma  []bool // γ (cost) vs β (mixer)
-}
-
-// ensureProgram builds (or rebuilds, if the layer count changed) the cached
-// program for the executor's QUBO.
-func (ex *Executor) ensureProgram(p int) *program {
-	if ex.prog != nil && ex.prog.layers == p {
-		return ex.prog
-	}
-	c := BuildCircuit(ex.QUBO, NewParams(p))
-	is := ex.QUBO.ToIsing()
-	pr := &program{
-		circ:   c,
-		layers: p,
-		factor: make([]float64, len(c.Gates)),
-		layer:  make([]int, len(c.Gates)),
-		gamma:  make([]bool, len(c.Gates)),
-	}
-	n := ex.QUBO.N()
-	rx := 0 // n mixer gates per layer: rx/n is the current layer index
-	for i, g := range c.Gates {
-		switch g.Kind {
-		case circuit.RZ:
-			pr.factor[i] = 2 * is.H[g.Q0]
-			pr.layer[i] = rx / n
-			pr.gamma[i] = true
-		case circuit.RZZ:
-			pr.factor[i] = 2 * is.J[qubo.Pair{I: g.Q0, J: g.Q1}]
-			pr.layer[i] = rx / n
-			pr.gamma[i] = true
-		case circuit.RX:
-			pr.factor[i] = 2
-			pr.layer[i] = rx / n
-			rx++
-		}
-	}
-	ex.prog = pr
-	return pr
-}
-
-// rewrite sets the variational angles. factor·angle multiplies in the same
-// order as BuildCircuit's 2·angle·coeff up to commutativity of one rounding
-// step, so rewritten circuits are bit-identical to freshly built ones.
-func (pr *program) rewrite(params Params) {
-	gs := pr.circ.Gates
-	for i := range gs {
-		f := pr.factor[i]
-		if f == 0 {
-			continue
-		}
-		ang := params.Betas[pr.layer[i]]
-		if pr.gamma[i] {
-			ang = params.Gammas[pr.layer[i]]
-		}
-		gs[i].Param = f * ang
-	}
-}
-
 // Executor evaluates QAOA circuits on the statevector simulator, with an
 // optional noise calibration that degrades both the optimiser's signal and
 // the final samples exactly as the paper's hardware runs experienced.
@@ -168,27 +104,21 @@ type Executor struct {
 	// computed from the transpiled circuit handed to SetTranspiled (or,
 	// if none was provided, from the logical circuit itself).
 	Noise *noise.Calibration
-	// CostTableMaxQubits caps the problem size for which a dense cost
-	// table (8·2^n bytes) is precomputed and cached across optimiser
-	// iterations; above the cap Expectation falls back to evaluating the
-	// QUBO per basis state. 0 selects qsim.MaxQubits.
-	CostTableMaxQubits int
-	// Precision selects the statevector storage width. The default,
-	// qsim.Complex128, is the ground truth; qsim.Complex64 halves kernel
-	// memory traffic within the error bound pinned by the precision tests.
-	Precision qsim.Precision
 
 	transpiled *circuit.Circuit
 	uniformE   float64
 	haveUnifE  bool
-	prog       *program
+	// logical is BuildCircuit at zero angles for logicalP layers, kept for
+	// the noise model's gate counts.
+	logical  *circuit.Circuit
+	logicalP int
 
 	// state is the pooled statevector reused across the optimiser's energy
-	// evaluations (Reset between runs); costTable caches the dense QUBO
-	// diagonal. An Executor is not safe for concurrent use.
+	// evaluations; costTable caches the dense QUBO diagonal, which is both
+	// the cost layer's phase and the observable. An Executor is not safe
+	// for concurrent use.
 	state     *qsim.State
 	costTable []float64
-	haveTable bool
 }
 
 // Close releases the executor's pooled statevector buffer. The executor
@@ -200,62 +130,60 @@ func (ex *Executor) Close() {
 	}
 }
 
-// table returns the cached dense cost table, building it on first use, or
-// nil when the problem exceeds CostTableMaxQubits.
+// table returns the cached dense cost table, building it on first use.
 func (ex *Executor) table() []float64 {
-	if !ex.haveTable {
-		max := ex.CostTableMaxQubits
-		if max <= 0 || max > qsim.MaxQubits {
-			max = qsim.MaxQubits
-		}
-		if ex.QUBO.N() <= max {
-			ex.costTable = ex.QUBO.CostTable()
-		}
-		ex.haveTable = true
+	if ex.costTable == nil {
+		ex.costTable = ex.QUBO.CostTable()
 	}
 	return ex.costTable
 }
 
 // SetTranspiled registers the hardware-level circuit whose gate counts and
-// duration determine the noise strength; the logical circuit is still what
-// the simulator executes (the transpiled one is unitarily equivalent).
+// duration determine the noise strength; the ideal state is still prepared
+// from the cost table (the transpiled circuit is unitarily equivalent).
 func (ex *Executor) SetTranspiled(c *circuit.Circuit) { ex.transpiled = c }
 
-// run executes the circuit for the given parameters and returns the
-// executor's pooled state (valid until the next run or Close).
+// run prepares the QAOA state for the given parameters and returns the
+// executor's pooled state (valid until the next run or Close): |+⟩^n, then
+// per layer the cost operator straight from the cost table and an RX mixer
+// on every qubit.
 func (ex *Executor) run(params Params) (*qsim.State, error) {
-	pr := ex.ensureProgram(params.P())
-	pr.rewrite(params)
-	if ex.state != nil && ex.state.Precision() != ex.Precision {
-		ex.state.Release()
-		ex.state = nil
-	}
+	n := ex.QUBO.N()
 	if ex.state == nil {
-		s, err := qsim.AcquireWith(ex.QUBO.N(), ex.Precision)
+		s, err := qsim.Acquire(n)
 		if err != nil {
 			return nil, err
 		}
 		ex.state = s
-	} else {
-		ex.state.Reset()
 	}
-	if err := ex.state.Run(pr.circ); err != nil {
-		return nil, err
+	s := ex.state
+	tab := ex.table()
+	s.SetUniform()
+	for l, gamma := range params.Gammas {
+		s.PhaseTable(tab, gamma)
+		for q := 0; q < n; q++ {
+			if err := s.ApplyGate(circuit.G1(circuit.RX, q, 2*params.Betas[l])); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return ex.state, nil
+	return s, nil
 }
 
-// lambda returns the depolarising weight for the current noise setting. It
-// is always called after run(params), so the cached program already holds
-// this evaluation's angles (Lambda only reads gate counts and durations
-// anyway).
+// lambda returns the depolarising weight for the current noise setting.
+// Lambda only reads gate counts and durations, so the logical circuit is
+// built once per layer count at zero angles.
 func (ex *Executor) lambda(params Params) float64 {
 	if ex.Noise == nil {
 		return 0
 	}
 	c := ex.transpiled
 	if c == nil {
-		c = ex.ensureProgram(params.P()).circ
+		if ex.logical == nil || ex.logicalP != params.P() {
+			ex.logical = BuildCircuit(ex.QUBO, NewParams(params.P()))
+			ex.logicalP = params.P()
+		}
+		c = ex.logical
 	}
 	return ex.Noise.Lambda(c)
 }
@@ -286,12 +214,7 @@ func (ex *Executor) Expectation(params Params) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var ideal float64
-	if tab := ex.table(); tab != nil {
-		ideal = s.ExpectationTable(tab)
-	} else {
-		ideal = s.ExpectationDiag(func(b uint64) float64 { return ex.QUBO.ValueBits(b) })
-	}
+	ideal := s.ExpectationTable(ex.table())
 	if l := ex.lambda(params); l > 0 {
 		return noise.MixedExpectation(l, ideal, ex.uniformExpectation()), nil
 	}
@@ -356,18 +279,13 @@ func (ex *Executor) SampleSeeds(params Params, shots int, rngs []*rand.Rand) ([]
 	return out, nil
 }
 
-// ScoreSamples returns the QUBO cost of each sampled basis state, reusing
-// the cached dense cost table when one is available.
+// ScoreSamples returns the QUBO cost of each sampled basis state through
+// the cached dense cost table.
 func (ex *Executor) ScoreSamples(samples []uint64) []float64 {
+	tab := ex.table()
 	energies := make([]float64, len(samples))
-	if tab := ex.table(); tab != nil {
-		for i, b := range samples {
-			energies[i] = tab[b]
-		}
-		return energies
-	}
 	for i, b := range samples {
-		energies[i] = ex.QUBO.ValueBits(b)
+		energies[i] = tab[b]
 	}
 	return energies
 }
@@ -411,16 +329,14 @@ func RunContext(ctx context.Context, q *qubo.QUBO, p int, opt Optimizer, shots i
 }
 
 // RunOptions collects the knobs of a hybrid run, so callers that only tune
-// some of them (precision, batched seeds) don't grow the positional
-// RunContext signature.
+// some of them (batched seeds) don't grow the positional RunContext
+// signature.
 type RunOptions struct {
 	Layers     int
 	Optimizer  Optimizer
 	Shots      int
 	Noise      *noise.Calibration
 	Transpiled *circuit.Circuit
-	// Precision selects the statevector width (default qsim.Complex128).
-	Precision qsim.Precision
 }
 
 // RunSeedsContext runs the hybrid loop once — the classical optimiser is
@@ -435,7 +351,7 @@ func RunSeedsContext(ctx context.Context, q *qubo.QUBO, o RunOptions, rngs []*ra
 	if len(rngs) == 0 {
 		return nil, fmt.Errorf("qaoa: no sampling seeds supplied")
 	}
-	ex := &Executor{QUBO: q, Noise: o.Noise, Precision: o.Precision}
+	ex := &Executor{QUBO: q, Noise: o.Noise}
 	defer ex.Close()
 	if o.Transpiled != nil {
 		ex.SetTranspiled(o.Transpiled)

@@ -99,42 +99,28 @@ func BenchmarkQsimCXChain(b *testing.B) {
 	}
 }
 
-// BenchmarkQsimDiagLayer measures a QAOA-style cost layer (RZ on every
-// qubit + RZZ ring), gate-by-gate versus fused into one pass.
-func BenchmarkQsimDiagLayer(b *testing.B) {
+// BenchmarkQsimPhaseTable measures one QAOA cost layer applied from a
+// dense cost table, serial and with full fan-out.
+func BenchmarkQsimPhaseTable(b *testing.B) {
 	for _, n := range benchQubits(b) {
 		s := benchState(b, n)
-		layer := circuit.New(n)
-		for q := 0; q < n; q++ {
-			layer.Append(circuit.G1(circuit.RZ, q, 0.3+float64(q)*0.01))
+		rng := rand.New(rand.NewSource(2))
+		table := make([]float64, 1<<uint(n))
+		for i := range table {
+			table[i] = rng.NormFloat64()
 		}
-		for q := 0; q < n; q++ {
-			layer.Append(circuit.G2(circuit.RZZ, q, (q+1)%n, 0.7+float64(q)*0.01))
+		for _, w := range []int{1, 0} {
+			name := "serial"
+			if w == 0 {
+				name = "parallel"
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
+				prev := SetWorkers(w)
+				defer SetWorkers(prev)
+				for i := 0; i < b.N; i++ {
+					s.PhaseTable(table, 0.37)
+				}
+			})
 		}
-		b.Run(fmt.Sprintf("n=%d/gate-by-gate", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := s.runRef(layer); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/fused-serial", n), func(b *testing.B) {
-			prev := SetWorkers(1)
-			defer SetWorkers(prev)
-			for i := 0; i < b.N; i++ {
-				if err := s.Run(layer); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/fused-parallel", n), func(b *testing.B) {
-			prev := SetWorkers(0)
-			defer SetWorkers(prev)
-			for i := 0; i < b.N; i++ {
-				if err := s.Run(layer); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -34,27 +34,6 @@ func randomCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 	return c
 }
 
-// diagonalLayer builds a QAOA-like cost layer: a run of RZ/RZZ/CZ gates.
-func diagonalLayer(rng *rand.Rand, n, gates int) *circuit.Circuit {
-	c := circuit.New(n)
-	for i := 0; i < gates; i++ {
-		theta := rng.Float64() * 2 * math.Pi
-		switch rng.Intn(3) {
-		case 0:
-			c.Append(circuit.G1(circuit.RZ, rng.Intn(n), theta))
-		case 1:
-			a := rng.Intn(n)
-			b := (a + 1 + rng.Intn(n-1)) % n
-			c.Append(circuit.G2(circuit.RZZ, a, b, theta))
-		default:
-			a := rng.Intn(n)
-			b := (a + 1 + rng.Intn(n-1)) % n
-			c.Append(circuit.G2(circuit.CZ, a, b, 0))
-		}
-	}
-	return c
-}
-
 // randomizeState overwrites both states with the same normalised random
 // amplitudes, so kernels are compared on dense input.
 func randomizeState(rng *rand.Rand, states ...*State) {
@@ -139,36 +118,74 @@ func TestKernelsMatchReferenceSharded(t *testing.T) {
 	}
 }
 
-// TestDiagonalFusionMatchesReference checks the fused diagonal pass against
-// gate-by-gate reference execution on pure cost layers and on circuits
-// mixing diagonal runs with entangling gates.
-func TestDiagonalFusionMatchesReference(t *testing.T) {
+// TestPhaseTableMatchesDiagonalGates checks PhaseTable against the
+// reference RZ/RZZ kernels: a run of diagonal gates multiplies basis state i
+// by exp(-i·t[i]) with t[i] = Σ θ/2·z, where z = ±1 is the Z eigenvalue (or
+// product of two) on i, so PhaseTable(t, 1) must reproduce it exactly.
+func TestPhaseTableMatchesDiagonalGates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		prev := SetWorkers(workers)
 		rng := rand.New(rand.NewSource(int64(303 + workers)))
 		for trial := 0; trial < 6; trial++ {
 			n := 3 + rng.Intn(8)
-			// Interleave: H layer, diagonal run, CX, diagonal run.
-			c := circuit.New(n)
-			for q := 0; q < n; q++ {
-				c.Append(circuit.G1(circuit.H, q, 0))
+			if trial == 0 {
+				n = 15 // large enough that parRange shards
 			}
-			c.Gates = append(c.Gates, diagonalLayer(rng, n, 25).Gates...)
-			c.Append(circuit.G2(circuit.CX, 0, n-1, 0))
-			c.Gates = append(c.Gates, diagonalLayer(rng, n, 25).Gates...)
+			c := circuit.New(n)
+			table := make([]float64, 1<<uint(n))
+			z := func(i uint64, q int) float64 {
+				if i&(1<<uint(q)) != 0 {
+					return -1
+				}
+				return 1
+			}
+			for k := 0; k < 2*n; k++ {
+				theta := rng.Float64() * 2 * math.Pi
+				a := rng.Intn(n)
+				if k%2 == 0 {
+					c.Append(circuit.G1(circuit.RZ, a, theta))
+					for i := range table {
+						table[i] += theta / 2 * z(uint64(i), a)
+					}
+					continue
+				}
+				b := (a + 1 + rng.Intn(n-1)) % n
+				c.Append(circuit.G2(circuit.RZZ, a, b, theta))
+				for i := range table {
+					table[i] += theta / 2 * z(uint64(i), a) * z(uint64(i), b)
+				}
+			}
 			got, _ := NewState(n)
 			want, _ := NewState(n)
-			if err := got.Run(c); err != nil {
-				t.Fatal(err)
-			}
+			randomizeState(rng, got, want)
+			got.PhaseTable(table, 1)
 			if err := want.runRef(c); err != nil {
 				t.Fatal(err)
 			}
 			if d := maxDelta(got, want); d > 1e-12 {
-				t.Fatalf("workers=%d trial=%d n=%d: fused diagonal pass diverges by %g", workers, trial, n, d)
+				t.Fatalf("workers=%d trial=%d n=%d: PhaseTable diverges from the reference gates by %g", workers, trial, n, d)
 			}
 		}
 		SetWorkers(prev)
+	}
+}
+
+// TestSetUniformMatchesHadamards checks SetUniform against n reference
+// Hadamards on |0...0⟩, starting from a dirty state.
+func TestSetUniformMatchesHadamards(t *testing.T) {
+	for _, n := range []int{1, 6, 15} {
+		got, _ := NewState(n)
+		randomizeState(rand.New(rand.NewSource(int64(n))), got)
+		got.SetUniform()
+		want, _ := NewState(n)
+		for q := 0; q < n; q++ {
+			if err := want.ApplyGateRef(circuit.G1(circuit.H, q, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := maxDelta(got, want); d > 1e-12 {
+			t.Fatalf("n=%d: SetUniform diverges from H^n|0⟩ by %g", n, d)
+		}
 	}
 }
 
@@ -253,6 +270,66 @@ func TestSampleTailGoesToArgmax(t *testing.T) {
 	}
 	if counts[1]+counts[2]+counts[5] != shots {
 		t.Fatalf("shots landed outside support: %v", counts)
+	}
+}
+
+// TestSampleBatchMatchesSample pins the batched scan's bit-identity
+// contract: SampleBatch over k seeds must emit exactly the sequences k solo
+// Sample calls would, including the rounding-tail argmax snapshot and the
+// per-rng shuffle.
+func TestSampleBatchMatchesSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(7202))
+	n := 9
+	s, _ := NewState(n)
+	randomizeState(rng, s)
+	seeds := []int64{1, 42, 7, 1e9}
+	shots := 64
+	batchRngs := make([]*rand.Rand, len(seeds))
+	for i, seed := range seeds {
+		batchRngs[i] = rand.New(rand.NewSource(seed))
+	}
+	got := s.SampleBatch(batchRngs, shots)
+	for i, seed := range seeds {
+		want := s.Sample(rand.New(rand.NewSource(seed)), shots)
+		if len(got[i]) != len(want) {
+			t.Fatalf("seed=%d: batch emitted %d shots, solo %d", seed, len(got[i]), len(want))
+		}
+		for k := range want {
+			if got[i][k] != want[k] {
+				t.Fatalf("seed=%d shot=%d: batch %d != solo %d", seed, k, got[i][k], want[k])
+			}
+		}
+	}
+}
+
+// TestSampleBatchTailArgmax extends the rounding-tail golden to the batched
+// scan: on a deliberately unnormalised state, every stream's leftover shots
+// must land on the argmax state seen up to where that stream stopped.
+func TestSampleBatchTailArgmax(t *testing.T) {
+	n := 3
+	s, _ := NewState(n)
+	s.amps[0] = 0
+	s.amps[1] = complex(math.Sqrt(0.1), 0)
+	s.amps[2] = complex(math.Sqrt(0.3), 0)
+	s.amps[5] = complex(math.Sqrt(0.1), 0)
+	shots := 2000
+	rngs := []*rand.Rand{rand.New(rand.NewSource(606)), rand.New(rand.NewSource(607))}
+	outs := s.SampleBatch(rngs, shots)
+	last := s.size() - 1
+	for r, out := range outs {
+		counts := map[uint64]int{}
+		for _, b := range out {
+			counts[b]++
+		}
+		if counts[last] != 0 {
+			t.Fatalf("stream=%d: %d leftover shots on last basis index", r, counts[last])
+		}
+		if counts[2] < shots/2 {
+			t.Fatalf("stream=%d: argmax state got %d/%d shots", r, counts[2], shots)
+		}
+		if counts[1]+counts[2]+counts[5] != shots {
+			t.Fatalf("stream=%d: shots outside support: %v", r, counts)
+		}
 	}
 }
 

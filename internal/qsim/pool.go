@@ -2,64 +2,37 @@ package qsim
 
 import "sync"
 
-// Per-(precision, size) amplitude buffer pools. Variational loops (QAOA
-// optimisers) allocate a fresh 2^n statevector per energy evaluation; at
-// 20+ qubits that is tens of MiB per call, all garbage. Acquire/Release
-// recycle the backing arrays through a sync.Pool per qubit count. Pools
-// are additionally keyed by precision: a complex64 buffer over n qubits is
-// half the width of a complex128 one, so handing a state released at one
-// precision to an acquirer of the other would alias a stale-width buffer.
-var ampPools [numPrecisions][MaxQubits + 1]sync.Pool
+// Per-size amplitude buffer pools. Variational loops (QAOA optimisers)
+// allocate a fresh 2^n statevector per energy evaluation; at 20+ qubits
+// that is tens of MiB per call, all garbage. Acquire/Release recycle the
+// backing arrays through a sync.Pool per qubit count.
+var ampPools [MaxQubits + 1]sync.Pool
 
-// Acquire returns a |0...0⟩ Complex128 state over n qubits, reusing a
-// previously Released amplitude buffer when one is available. Call Release
-// when done.
+// Acquire returns a |0...0⟩ state over n qubits, reusing a previously
+// Released amplitude buffer when one is available. Call Release when done.
 func Acquire(n int) (*State, error) {
-	return AcquireWith(n, Complex128)
-}
-
-// AcquireWith is Acquire at an explicit precision.
-func AcquireWith(n int, p Precision) (*State, error) {
 	if n < 1 || n > MaxQubits {
 		return nil, errQubitCount(n)
 	}
-	if v := ampPools[p][n].Get(); v != nil {
+	if v := ampPools[n].Get(); v != nil {
 		s := v.(*State)
 		s.Reset()
 		return s, nil
 	}
-	return NewStateWith(n, p)
+	return NewState(n)
 }
 
-// Release returns the state's amplitude buffer to the pool matching its
-// precision. The state must not be used afterwards.
+// Release returns the state's amplitude buffer to the pool for its size.
+// The state must not be used afterwards.
 func (s *State) Release() {
-	if s == nil || s.n < 1 || s.n > MaxQubits {
+	if s == nil || s.n < 1 || s.n > MaxQubits || len(s.amps) != 1<<uint(s.n) {
 		return
 	}
-	want := 1 << uint(s.n)
-	if s.prec == Complex64 {
-		if len(s.amps64) != want {
-			return
-		}
-	} else if len(s.amps) != want {
-		return
-	}
-	ampPools[s.prec][s.n].Put(s)
+	ampPools[s.n].Put(s)
 }
 
 // Reset reinitialises the state to |0...0⟩ in place.
 func (s *State) Reset() {
-	if s.prec == Complex64 {
-		amps := s.amps64
-		parRange(uint64(len(amps)), func(lo, hi uint64) {
-			for i := lo; i < hi; i++ {
-				amps[i] = 0
-			}
-		})
-		amps[0] = 1
-		return
-	}
 	amps := s.amps
 	parRange(uint64(len(amps)), func(lo, hi uint64) {
 		for i := lo; i < hi; i++ {

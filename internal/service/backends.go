@@ -27,10 +27,6 @@ type RegistryConfig struct {
 	QAOALayers int
 	// QAOAIterations is the classical optimiser budget (default 8).
 	QAOAIterations int
-	// QAOAPrecision selects the statevector width of the qaoa backend
-	// (default qsim.Complex128; qsim.Complex64 halves simulator memory
-	// traffic within the error bound pinned by the qaoa precision tests).
-	QAOAPrecision qsim.Precision
 }
 
 func (c RegistryConfig) withDefaults() RegistryConfig {
@@ -58,7 +54,7 @@ func DefaultRegistry(cfg RegistryConfig) *Registry {
 	for _, b := range []Backend{
 		NewAnnealBackend(cfg.PegasusM),
 		NewTabuBackend(),
-		qaoaBackend{maxQubits: cfg.MaxQAOAQubits, layers: cfg.QAOALayers, iterations: cfg.QAOAIterations, precision: cfg.QAOAPrecision},
+		qaoaBackend{maxQubits: cfg.MaxQAOAQubits, layers: cfg.QAOALayers, iterations: cfg.QAOAIterations},
 		NewMILPBackend(),
 		NewDPBackend(),
 		NewGreedyBackend(),
@@ -220,11 +216,10 @@ type qaoaBackend struct {
 	maxQubits  int
 	layers     int
 	iterations int
-	precision  qsim.Precision
 }
 
 // NewQAOABackend builds the QAOA backend with the given statevector cap,
-// circuit depth p, and classical optimiser budget (Complex128 precision).
+// circuit depth p, and classical optimiser budget.
 func NewQAOABackend(maxQubits, layers, iterations int) Backend {
 	return qaoaBackend{maxQubits: maxQubits, layers: layers, iterations: iterations}
 }
@@ -236,7 +231,6 @@ func (b qaoaBackend) options(shots int) qaoa.RunOptions {
 		Layers:    b.layers,
 		Optimizer: qaoa.AQGD{Iterations: b.iterations},
 		Shots:     shots,
-		Precision: b.precision,
 	}
 }
 
