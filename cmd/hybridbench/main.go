@@ -8,10 +8,8 @@
 // staged classical stage needs tens of milliseconds: deadlines below that
 // return the instant greedy incumbent (cost ratio > 1 on chains, where
 // greedy is measurably suboptimal), and once the deadline admits the DP
-// sweep the ratio drops to 1. Longer deadlines hand the remaining budget
-// to the warm-started quantum-simulated portfolio, which on QUBOs this
-// size (~1.2k logical qubits) does not improve on the classical incumbent
-// before the deadline — the co-design gap the paper measures.
+// sweep the ratio drops to 1 and the request ends at DP time, since no
+// sampler can beat the exact optimum on the same plan space.
 package main
 
 import (

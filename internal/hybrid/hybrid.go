@@ -11,9 +11,10 @@
 //     concurrently; the first valid join order wins and the rest are
 //     cancelled. Latency-optimal when any single backend may stall.
 //   - "staged": run the classical stage (greedy, then DP when the instance
-//     is small enough) for an instant feasible incumbent, then — after a
-//     hedge delay — launch the quantum-simulated portfolio warm-started
-//     from that incumbent, improving the answer anytime until the deadline.
+//     is small enough) for an instant feasible incumbent. A DP plan is the
+//     exact optimum and ends the request; otherwise — after a hedge delay —
+//     launch the quantum-simulated portfolio warm-started from that
+//     incumbent, improving the answer anytime until the deadline.
 //     Quality-optimal: the final plan is never worse than the classical
 //     incumbent.
 //
@@ -57,7 +58,9 @@ type Config struct {
 	Portfolio []string
 	// HedgeDelay is the default pause between the classical incumbent and
 	// the quantum launch in the staged strategy (default 25ms). The pause
-	// lets cheap requests return without ever spinning up samplers.
+	// lets cheap requests return without ever spinning up samplers. It
+	// applies only when DP did not prove the incumbent optimal: a DP plan
+	// ends the request at once.
 	HedgeDelay time.Duration
 	// MinBudget is the minimum remaining deadline worth launching a
 	// quantum stage for (default 10ms); below it the staged strategy

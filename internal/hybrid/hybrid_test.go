@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,14 +51,17 @@ func testRegistry(t testing.TB) *service.Registry {
 }
 
 // slowBackend blocks until its context is cancelled — a stand-in for a
-// stalled solver in racing and cancellation tests.
+// stalled solver in racing and cancellation tests. It counts its calls so
+// tests can tell whether a strategy launched it at all.
 type slowBackend struct {
 	released chan struct{} // closed when Solve observes cancellation
+	calls    atomic.Int64
 }
 
 func (s *slowBackend) Name() string { return "slow" }
 
 func (s *slowBackend) Solve(ctx context.Context, enc *core.Encoding, p service.Params) (*core.Decoded, error) {
+	s.calls.Add(1)
 	<-ctx.Done()
 	if s.released != nil {
 		close(s.released)
@@ -203,15 +207,17 @@ func TestRaceFirstValidWinsAndCancelsLosers(t *testing.T) {
 }
 
 // TestStagedCancellationReleasesWorkers cancels the parent mid-quantum-
-// stage and checks the portfolio goroutines exit.
+// stage and checks the portfolio goroutines exit. DP is gated below the
+// instance size: an exact DP incumbent would end the request before the
+// quantum stage ever launched.
 func TestStagedCancellationReleasesWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	reg := testRegistry(t)
-	slow := &slowBackend{}
+	slow := &slowBackend{released: make(chan struct{})}
 	if err := reg.Register(slow); err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{Registry: reg, HedgeDelay: time.Millisecond})
+	b, err := New(Config{Registry: reg, HedgeDelay: time.Millisecond, MaxDPRelations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +243,11 @@ func TestStagedCancellationReleasesWorkers(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("orchestration did not return after cancellation")
+	}
+	select {
+	case <-slow.released:
+	case <-time.After(2 * time.Second):
+		t.Fatal("slow racer never launched or never observed cancellation")
 	}
 	settleGoroutines(t, base)
 }
@@ -326,7 +337,8 @@ func TestArbiterRecordsWinsAndLosses(t *testing.T) {
 
 // TestWarmStartReachesQuantumStage pins the warm-start plumbing end to
 // end: the staged strategy must hand the portfolio a full QUBO assignment
-// built from the classical incumbent.
+// built from the classical incumbent. DP is gated below the instance size
+// so the incumbent is greedy's and the quantum stage runs.
 func TestWarmStartReachesQuantumStage(t *testing.T) {
 	reg := service.NewRegistry()
 	for _, b := range []service.Backend{service.NewDPBackend(), service.NewGreedyBackend()} {
@@ -339,7 +351,7 @@ func TestWarmStartReachesQuantumStage(t *testing.T) {
 	if err := reg.Register(probe); err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{Registry: reg, Portfolio: []string{"probe"}, HedgeDelay: time.Millisecond})
+	b, err := New(Config{Registry: reg, Portfolio: []string{"probe"}, HedgeDelay: time.Millisecond, MaxDPRelations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +365,7 @@ func TestWarmStartReachesQuantumStage(t *testing.T) {
 		t.Fatalf("portfolio received initial state of %d vars, want %d", len(got), enc.NumQubits())
 	}
 	// The warm state must decode back to a valid plan at least as good as
-	// greedy (it came from the classical incumbent, which includes DP).
+	// greedy (it came from the classical incumbent).
 	d := enc.Decode(got)
 	if !d.Valid {
 		t.Fatal("warm state does not decode to a valid plan")

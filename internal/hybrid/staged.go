@@ -18,7 +18,8 @@ import (
 var classicalStage = []string{"greedy", "dp"}
 
 // staged runs the hedged two-stage strategy: the classical stage produces
-// an instant feasible incumbent, then — after the hedge delay, and only if
+// an instant feasible incumbent. When DP proved that incumbent optimal the
+// request returns at once. Otherwise — after the hedge delay, and only if
 // enough deadline remains — the quantum-simulated portfolio launches warm-
 // started from that incumbent, improving the answer anytime until the
 // deadline. The final plan is never worse than the classical incumbent.
@@ -28,6 +29,7 @@ var classicalStage = []string{"greedy", "dp"}
 func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Params, portfolio []string, skippedOpen int) (*Outcome, error) {
 	var candidates []Candidate
 	var incumbent *Candidate
+	var dpOptimal bool
 
 	// Stage 1: classical, synchronous, microseconds-to-milliseconds. Both
 	// backends are optional registry members; a slim registry degrades to
@@ -55,12 +57,20 @@ func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Para
 			cc := c
 			incumbent = &cc
 		}
+		// The dp backend errors whenever its sweep is cancelled, so a
+		// vetted dp order is the exact C_out optimum of the left-deep
+		// plan space the samplers search too: none of them can beat it.
+		dpOptimal = dpOptimal || (name == "dp" && c.Decoded != nil)
 	}
 
-	// Stage 2: hedge, then launch the quantum portfolio. The hedge delay
-	// gives cheap requests a chance to return without ever spinning up
-	// samplers; a negative request value disables it.
-	if len(portfolio) > 0 && b.hedge(ctx, p) && b.budgetLeft(ctx) {
+	// Stage 2, unless DP proved the incumbent optimal: hedge, then launch
+	// the quantum portfolio. The hedge delay gives cheap requests a chance
+	// to return without ever spinning up samplers; a negative request
+	// value disables it.
+	if dpOptimal {
+		obs.ActiveSpan(ctx).SetAttrStr("hybrid_stage2", "skipped_dp_optimal")
+		obs.Logger(ctx).DebugContext(ctx, "hybrid stage 2 skipped: dp proved the incumbent optimal")
+	} else if len(portfolio) > 0 && b.hedge(ctx, p) && b.budgetLeft(ctx) {
 		warm := warmState(enc, incumbent)
 		results := make(chan Candidate, len(portfolio))
 		for _, name := range portfolio {
