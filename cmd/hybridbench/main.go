@@ -5,7 +5,7 @@
 // start). Results go to a JSON file (default BENCH_hybrid.json).
 //
 // The curves use 18-relation queries, where the exact DP pass of the
-// staged classical stage needs tens of milliseconds: deadlines below that
+// hybrid classical stage needs tens of milliseconds: deadlines below that
 // return the instant greedy incumbent (cost ratio > 1 on chains, where
 // greedy is measurably suboptimal), and once the deadline admits the DP
 // sweep the ratio drops to 1 and the request ends at DP time, since no
@@ -13,14 +13,18 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"quantumjoin/internal/anneal"
@@ -53,7 +57,7 @@ type WorkloadCurve struct {
 
 // MixedClassPoint summarises one deadline class of the shared
 // deadline-stratified workload (querygen.DeadlineStratified) under the
-// staged strategy.
+// hybrid backend.
 type MixedClassPoint struct {
 	Class         string  `json:"class"`
 	DeadlineMs    int     `json:"deadline_ms"`
@@ -76,12 +80,15 @@ type WarmStartCase struct {
 	WarmBudget      int     `json:"warm_budget"`
 }
 
-// Report is the emitted JSON document.
+// Report is the emitted JSON document. Commit is the checkout's HEAD
+// ("none" outside a git work tree); Dirty reports uncommitted changes on
+// top of it.
 type Report struct {
+	Commit     string            `json:"commit"`
+	Dirty      bool              `json:"dirty"`
 	GoMaxProcs int               `json:"go_max_procs"`
 	NumCPU     int               `json:"num_cpu"`
 	GoVersion  string            `json:"go_version"`
-	Strategy   string            `json:"strategy"`
 	Portfolio  []string          `json:"portfolio"`
 	Curves     []WorkloadCurve   `json:"deadline_curves"`
 	Mixed      []MixedClassPoint `json:"mixed_deadline"`
@@ -98,11 +105,13 @@ func main() {
 	mixedSeed := flag.Int64("mixed-seed", 1, "base seed of the mixed-deadline workload")
 	flag.Parse()
 
+	commit, dirty := gitHead()
 	rep := Report{
+		Commit:     commit,
+		Dirty:      dirty,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
-		Strategy:   hybrid.StrategyStaged,
 		Portfolio:  []string{"tabu"},
 	}
 
@@ -205,7 +214,18 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 }
 
-// mixedDeadline runs the staged strategy over the shared deadline-
+// gitHead returns the checkout's HEAD commit and whether the work tree
+// has uncommitted changes; outside a git work tree it returns "none".
+func gitHead() (string, bool) {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "none", false
+	}
+	status, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output()
+	return strings.TrimSpace(string(out)), err != nil || len(status) > 0
+}
+
+// mixedDeadline runs the hybrid backend over the shared deadline-
 // stratified preset and aggregates plan quality per deadline class.
 func mixedDeadline(hb *hybrid.Backend, relations, perCell int, seed int64) []MixedClassPoint {
 	items, err := querygen.DeadlineStratified(querygen.WorkloadConfig{
@@ -288,7 +308,7 @@ func instance(g querygen.GraphType, n int, seed int64) (*join.Query, *core.Encod
 	return q, enc, opt
 }
 
-// warmIncumbent builds the warm-start state the staged strategy feeds its
+// warmIncumbent builds the warm-start state the hybrid backend feeds its
 // quantum stage: the greedy order embedded into the full QUBO space.
 func warmIncumbent(q *join.Query, enc *core.Encoding) []bool {
 	decision, err := enc.EncodeOrder(greedyOrder(q))
@@ -350,14 +370,24 @@ func warmSACase(graph string, n int, seed int64) WarmStartCase {
 }
 
 // toIsingProblem converts the QUBO into the annealer's Ising form and the
-// boolean warm state into spins (x=1 → s=+1, matching qubo.ToIsing).
+// boolean warm state into spins (x=1 → s=+1, matching qubo.ToIsing). The
+// couplings are added in sorted (I, J) order: coupling order fixes the
+// float sums of energies and the annealer's trajectory, so map order
+// would make every run differ.
 func toIsingProblem(q *qubo.QUBO, x []bool) (*anneal.IsingProblem, []int8) {
 	is := q.ToIsing()
 	p := anneal.NewIsingProblem(is.N)
 	copy(p.H, is.H)
 	p.Const = is.Offset
-	for pair, w := range is.J {
-		p.AddCoupling(pair.I, pair.J, w)
+	pairs := make([]qubo.Pair, 0, len(is.J))
+	for pair := range is.J {
+		pairs = append(pairs, pair)
+	}
+	slices.SortFunc(pairs, func(a, b qubo.Pair) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
+	for _, pair := range pairs {
+		p.AddCoupling(pair.I, pair.J, is.J[pair])
 	}
 	spins := make([]int8, len(x))
 	for i, b := range x {
@@ -371,8 +401,8 @@ func toIsingProblem(q *qubo.QUBO, x []bool) (*anneal.IsingProblem, []int8) {
 }
 
 func greedyOrder(q *join.Query) join.Order {
-	// Reuse the service backend so the incumbent matches what the staged
-	// strategy would produce.
+	// Reuse the service backend so the incumbent matches what the hybrid
+	// classical stage would produce.
 	be := service.NewGreedyBackend()
 	enc, err := core.Encode(q, core.Options{Thresholds: core.DefaultThresholds(q, 1)})
 	if err != nil {

@@ -1,13 +1,13 @@
 // Command qjoin optimises a join ordering problem end to end on a chosen
 // backend: the classical DP baseline, the simulated quantum annealer, the
 // simulated gate-based QPU running QAOA, or the deadline-aware hybrid
-// orchestrator that races/stages them all.
+// orchestrator that stages them behind the classical planners.
 //
 // Usage:
 //
 //	qjoin [-relations N] [-graph chain|star|cycle|clique] [-seed N]
 //	      [-backend classical|milp|anneal|qaoa|hybrid] [-thresholds R]
-//	      [-reads N] [-deadline D] [-strategy race|staged] [-hedge D]
+//	      [-reads N] [-deadline D] [-hedge D]
 //
 // It generates a random Steinbrunn-style query, reports the QUBO encoding
 // size (logical qubits), runs the backend, and prints the resulting join
@@ -35,7 +35,6 @@ func main() {
 	thresholds := flag.Int("thresholds", 3, "number of cardinality thresholds")
 	reads := flag.Int("reads", 500, "annealing reads / QAOA shots")
 	deadline := flag.Duration("deadline", 5*time.Second, "hybrid backend: end-to-end deadline")
-	strategy := flag.String("strategy", "staged", "hybrid backend: race or staged")
 	hedge := flag.Duration("hedge", 25*time.Millisecond, "hybrid backend: hedge delay before the quantum stage")
 	queryFile := flag.String("query", "", "JSON catalog file with a user-defined query (overrides -relations/-graph)")
 	workload := flag.String("workload", "", "built-in JOB-style benchmark query name, or 'list'")
@@ -130,7 +129,6 @@ func main() {
 		reg := service.DefaultRegistry(service.RegistryConfig{PegasusM: 4})
 		hb, err := hybrid.New(hybrid.Config{
 			Registry:   reg,
-			Strategy:   *strategy,
 			HedgeDelay: *hedge,
 		})
 		if err != nil {
@@ -143,8 +141,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("hybrid result (%s, %v deadline): %s  cost %.4g  winner=%s  elapsed=%v\n",
-			out.Strategy, *deadline, q.Tree(out.Best.Order), q.Cost(out.Best.Order), out.Winner, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("hybrid result (%v deadline): %s  cost %.4g  winner=%s  elapsed=%v\n",
+			*deadline, q.Tree(out.Best.Order), q.Cost(out.Best.Order), out.Winner, time.Since(start).Round(time.Millisecond))
 		for _, c := range out.Candidates {
 			if c.Err != nil {
 				fmt.Printf("  %-8s %-10v no result: %v\n", c.Backend, c.Elapsed.Round(time.Millisecond), c.Err)

@@ -97,7 +97,6 @@ func main() {
 	defaultBackend := flag.String("default-backend", "anneal", "backend used when a request names none")
 	pegasusM := flag.Int("pegasus-m", 6, "annealer hardware graph size (16 = full Advantage)")
 	qaoaQubits := flag.Int("qaoa-qubits", 16, "statevector budget of the qaoa backend")
-	hybridStrategy := flag.String("hybrid-strategy", "staged", "default hybrid strategy: race or staged")
 	hybridPortfolio := flag.String("hybrid-portfolio", "anneal,tabu,qaoa", "default hybrid portfolio (comma-separated backend names)")
 	hybridHedge := flag.Duration("hybrid-hedge", 25*time.Millisecond, "default hedge delay before the hybrid quantum stage")
 	decompBudget := flag.Int("decomp-part-budget", 12, "decomp: default relations per partition part (requests override with part_budget)")
@@ -209,12 +208,11 @@ func main() {
 			"seed", *chaosSeed, "backends", *resilient)
 	}
 
-	// The hybrid orchestrator sits on top of the registry it races, so it
+	// The hybrid orchestrator sits on top of the registry it stages, so it
 	// registers after the service wires up metrics.
 	hb, err := hybrid.New(hybrid.Config{
 		Registry:   reg,
 		Metrics:    svc.Metrics(),
-		Strategy:   *hybridStrategy,
 		Portfolio:  splitList(*hybridPortfolio),
 		HedgeDelay: *hybridHedge,
 	})

@@ -454,9 +454,9 @@ func withoutNode(targets []string, node string) []string {
 // solver parameters. Requests that differ only by relation labelling
 // coalesce; requests with different seeds or budgets never do.
 func coalesceKey(fingerprint string, opt *service.OptimizeRequest) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%s|%s|%d",
+	return fmt.Sprintf("%s|%s|%d|%d|%d|%s|%d",
 		fingerprint, opt.Backend, opt.Reads, opt.Seed, opt.TimeoutMs,
-		opt.Strategy, strings.Join(opt.Portfolio, ","), opt.HedgeMs)
+		strings.Join(opt.Portfolio, ","), opt.HedgeMs)
 }
 
 // forwardHops reads the hop counter (absent or malformed reads as 0).

@@ -85,7 +85,6 @@ func New(cfg Config) (*Backend, error) {
 	hyb, err := hybrid.New(hybrid.Config{
 		Registry:   cfg.Registry,
 		Metrics:    cfg.Metrics,
-		Strategy:   hybrid.StrategyStaged,
 		Portfolio:  cfg.Portfolio,
 		HedgeDelay: cfg.HedgeDelay,
 	})

@@ -55,7 +55,7 @@ func vet(enc *core.Encoding, backend string, d *core.Decoded, err error, elapsed
 // latency outcomes into the metrics registry, and assembles the Outcome.
 // With no valid candidate it surfaces the first backend error (preferring
 // a context error so the HTTP layer maps deadlines to 504).
-func (b *Backend) arbitrate(ctx context.Context, strategy string, candidates []Candidate) (*Outcome, error) {
+func (b *Backend) arbitrate(ctx context.Context, candidates []Candidate) (*Outcome, error) {
 	best := -1
 	for i, c := range candidates {
 		if c.Decoded == nil {
@@ -82,7 +82,6 @@ func (b *Backend) arbitrate(ctx context.Context, strategy string, candidates []C
 			span.SetAttr("hybrid_candidates", len(candidates))
 		}
 		obs.Logger(ctx).DebugContext(ctx, "hybrid arbitration",
-			"strategy", strategy,
 			"winner", candidates[best].Backend,
 			"cost", candidates[best].Cost,
 			"candidates", len(candidates))
@@ -102,7 +101,6 @@ func (b *Backend) arbitrate(ctx context.Context, strategy string, candidates []C
 			service.ErrBadRequest)
 	}
 	return &Outcome{
-		Strategy:   strategy,
 		Winner:     candidates[best].Backend,
 		Best:       candidates[best].Decoded,
 		Candidates: candidates,

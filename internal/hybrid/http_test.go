@@ -29,7 +29,7 @@ const chainCatalog = `{
 
 // TestHTTPHybridEndToEnd drives the hybrid backend through the full
 // qjoind stack — registry, service, HTTP handler — exactly as cmd/qjoind
-// wires it, including the per-request strategy/portfolio/hedge knobs and
+// wires it, including the per-request portfolio/hedge knobs and
 // the win/loss counters on /metrics.
 func TestHTTPHybridEndToEnd(t *testing.T) {
 	reg := testRegistry(t)
@@ -60,14 +60,14 @@ func TestHTTPHybridEndToEnd(t *testing.T) {
 			"backend": "hybrid", "query": json.RawMessage(chainCatalog),
 			"thresholds": 2, "reads": 4, "seed": 5, "timeout_ms": 10000,
 		}},
-		{"race with portfolio", map[string]any{
+		{"explicit portfolio", map[string]any{
 			"backend": "hybrid", "query": json.RawMessage(chainCatalog),
-			"strategy": "race", "portfolio": []string{"greedy", "tabu"},
+			"portfolio":  []string{"greedy", "tabu"},
 			"thresholds": 2, "reads": 4, "seed": 5, "timeout_ms": 10000,
 		}},
 		{"staged with hedge", map[string]any{
 			"backend": "hybrid", "query": json.RawMessage(chainCatalog),
-			"strategy": "staged", "portfolio": []string{"tabu"}, "hedge_ms": 1,
+			"portfolio": []string{"tabu"}, "hedge_ms": 1,
 			"thresholds": 2, "reads": 4, "seed": 5, "timeout_ms": 10000,
 		}},
 	} {
@@ -91,29 +91,26 @@ func TestHTTPHybridEndToEnd(t *testing.T) {
 		})
 	}
 
-	// An invalid strategy, including the removed "learned" one, must
-	// surface as 400 through the whole stack, naming the strategies that
-	// exist.
-	for _, strategy := range []string{"tournament", "learned"} {
-		raw, _ := json.Marshal(map[string]any{
-			"backend": "hybrid", "query": json.RawMessage(chainCatalog),
-			"strategy": strategy,
-		})
-		resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e struct {
-			Error string `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&e)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("strategy %q: status %d, want 400", strategy, resp.StatusCode)
-		}
-		if err != nil || !strings.Contains(e.Error, "(have: race, staged)") {
-			t.Errorf("strategy %q: error %q (decode err %v), want it to list (have: race, staged)", strategy, e.Error, err)
-		}
+	// A body naming a strategy gets 400 at decode, naming the unknown
+	// field, before any backend runs.
+	raw, _ := json.Marshal(map[string]any{
+		"backend": "hybrid", "query": json.RawMessage(chainCatalog),
+		"strategy": "staged",
+	})
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("strategy field: status %d, want 400", resp.StatusCode)
+	}
+	if err != nil || !strings.Contains(e.Error, `"strategy"`) {
+		t.Errorf("strategy field: error %q (decode err %v), want it to name \"strategy\"", e.Error, err)
 	}
 
 	// /metrics.json must expose hybrid requests and arbitration outcomes.
@@ -126,9 +123,9 @@ func TestHTTPHybridEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	mresp.Body.Close()
-	// 3 successful orchestrations plus the two rejected-strategy attempts.
-	if hb, ok := snap.Backends["hybrid"]; !ok || hb.Requests != 5 || hb.Errors != 2 {
-		t.Errorf("hybrid backend metrics = %+v, want 5 requests / 2 errors", snap.Backends["hybrid"])
+	// 3 successful orchestrations; the rejected body never reached it.
+	if hb, ok := snap.Backends["hybrid"]; !ok || hb.Requests != 3 || hb.Errors != 0 {
+		t.Errorf("hybrid backend metrics = %+v, want 3 requests / 0 errors", snap.Backends["hybrid"])
 	}
 	var wins int64
 	for _, bs := range snap.Backends {

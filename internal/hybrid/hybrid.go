@@ -1,22 +1,16 @@
 // Package hybrid orchestrates the registered solver backends into a single
 // deadline-aware meta-backend, following the hybrid quantum-classical
 // framing of the paper's co-design discussion: near-term quantum solvers
-// are unreliable per-shot, so production use races them against (or hedges
-// them behind) classical baselines and lets an arbiter pick the best valid
-// plan produced before the deadline.
+// are unreliable per-shot, so production use hedges them behind classical
+// baselines and lets an arbiter pick the best valid plan produced before
+// the deadline.
 //
-// Two strategies are provided:
-//
-//   - "race": fan the encoded instance across a portfolio of backends
-//     concurrently; the first valid join order wins and the rest are
-//     cancelled. Latency-optimal when any single backend may stall.
-//   - "staged": run the classical stage (greedy, then DP when the instance
-//     is small enough) for an instant feasible incumbent. A DP plan is the
-//     exact optimum and ends the request; otherwise — after a hedge delay —
-//     launch the quantum-simulated portfolio warm-started from that
-//     incumbent, improving the answer anytime until the deadline.
-//     Quality-optimal: the final plan is never worse than the classical
-//     incumbent.
+// The orchestration is staged: the classical stage (greedy, then DP when
+// the instance is small enough) yields an instant feasible incumbent. A DP
+// plan is the exact optimum and ends the request; otherwise — after a
+// hedge delay — the quantum-simulated portfolio launches warm-started from
+// that incumbent and improves the answer anytime until the deadline. The
+// final plan is never worse than the classical incumbent.
 //
 // Every candidate is validated and re-scored by true plan cost (Query.Cost
 // of the decoded order), never by QUBO energy, and per-backend win/loss
@@ -32,11 +26,15 @@ import (
 	"quantumjoin/internal/service"
 )
 
-// Strategy names accepted by Config.Strategy and Params.Hybrid.Strategy.
-const (
-	StrategyRace   = "race"
-	StrategyStaged = "staged"
-)
+// StrategyStaged is the only value Config.Strategy accepts besides "".
+//
+// Deprecated: staged is the only orchestration; the constant remains for
+// callers that still name it.
+const StrategyStaged = "staged"
+
+// minBudget is the minimum remaining deadline worth launching a quantum
+// stage for; below it the classical incumbent is returned at once.
+const minBudget = 10 * time.Millisecond
 
 // Name is the registry name of the hybrid backend.
 const Name = "hybrid"
@@ -48,41 +46,34 @@ type Config struct {
 	// Metrics, when non-nil, receives per-backend win/loss and latency
 	// outcomes from the arbiter.
 	Metrics *service.Metrics
-	// Strategy is the default strategy when a request names none
-	// (default "staged").
+	// Strategy must be empty or StrategyStaged.
+	//
+	// Deprecated: staged is the only orchestration; New rejects any
+	// other value.
 	Strategy string
-	// Portfolio is the default backend portfolio: the racers for "race",
-	// the quantum stage for "staged" (the classical stage is always
-	// greedy+DP). Default: anneal, tabu, qaoa — filtered to what the
-	// registry actually has.
+	// Portfolio is the default quantum-stage portfolio (the classical
+	// stage is always greedy+DP). Default: anneal, tabu, qaoa — filtered
+	// to what the registry actually has.
 	Portfolio []string
 	// HedgeDelay is the default pause between the classical incumbent and
-	// the quantum launch in the staged strategy (default 25ms). The pause
-	// lets cheap requests return without ever spinning up samplers. It
-	// applies only when DP did not prove the incumbent optimal: a DP plan
-	// ends the request at once.
+	// the quantum launch (default 25ms). The pause lets cheap requests
+	// return without ever spinning up samplers. It applies only when DP
+	// did not prove the incumbent optimal: a DP plan ends the request at
+	// once.
 	HedgeDelay time.Duration
-	// MinBudget is the minimum remaining deadline worth launching a
-	// quantum stage for (default 10ms); below it the staged strategy
-	// returns the classical incumbent immediately.
-	MinBudget time.Duration
-	// MaxDPRelations caps the instance size for the DP pass of the staged
-	// classical stage, which does not poll the context (default 18).
+	// MaxDPRelations caps the instance size for the classical stage's DP
+	// pass (default 18). The pass polls the context every 8192 subsets,
+	// so the deadline stops it either way; the gate bounds the 2^n
+	// table's time and memory.
 	MaxDPRelations int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Strategy == "" {
-		c.Strategy = StrategyStaged
-	}
 	if c.Portfolio == nil {
 		c.Portfolio = []string{"anneal", "tabu", "qaoa"}
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 25 * time.Millisecond
-	}
-	if c.MinBudget == 0 {
-		c.MinBudget = 10 * time.Millisecond
 	}
 	if c.MaxDPRelations == 0 {
 		c.MaxDPRelations = 18
@@ -97,14 +88,14 @@ type Backend struct {
 }
 
 // New builds the hybrid backend. It returns an error when the registry is
-// missing or the default strategy is unknown.
+// missing or Strategy names anything but staged.
 func New(cfg Config) (*Backend, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("hybrid: config needs a backend registry")
 	}
-	if cfg.Strategy != StrategyRace && cfg.Strategy != StrategyStaged {
-		return nil, fmt.Errorf("hybrid: unknown default strategy %q", cfg.Strategy)
+	if cfg.Strategy != "" && cfg.Strategy != StrategyStaged {
+		return nil, fmt.Errorf("hybrid: unknown strategy %q (staged is the only one)", cfg.Strategy)
 	}
 	return &Backend{cfg: cfg}, nil
 }
@@ -112,8 +103,8 @@ func New(cfg Config) (*Backend, error) {
 // Name implements service.Backend.
 func (b *Backend) Name() string { return Name }
 
-// Solve implements service.Backend: it dispatches on the request's
-// strategy and returns the arbiter's pick.
+// Solve implements service.Backend: it orchestrates the request and
+// returns the arbiter's pick.
 func (b *Backend) Solve(ctx context.Context, enc *core.Encoding, p service.Params) (*core.Decoded, error) {
 	out, err := b.Orchestrate(ctx, enc, p)
 	if err != nil {
@@ -124,8 +115,6 @@ func (b *Backend) Solve(ctx context.Context, enc *core.Encoding, p service.Param
 
 // Outcome is the full orchestration result, exposing what Solve discards.
 type Outcome struct {
-	// Strategy is the strategy that ran.
-	Strategy string
 	// Winner is the backend whose candidate the arbiter selected.
 	Winner string
 	// Best is the selected decoded join order.
@@ -134,27 +123,15 @@ type Outcome struct {
 	Candidates []Candidate
 }
 
-// Orchestrate runs the selected strategy and returns the arbitrated
+// Orchestrate runs the staged orchestration and returns the arbitrated
 // outcome. It is the programmatic entry point for callers that want the
 // losing candidates too (benchmarks, tests).
 func (b *Backend) Orchestrate(ctx context.Context, enc *core.Encoding, p service.Params) (*Outcome, error) {
-	strategy := p.Hybrid.Strategy
-	if strategy == "" {
-		strategy = b.cfg.Strategy
-	}
 	portfolio, skippedOpen, err := b.portfolio(p)
 	if err != nil {
 		return nil, err
 	}
-	switch strategy {
-	case StrategyRace:
-		return b.race(ctx, enc, p, portfolio, skippedOpen)
-	case StrategyStaged:
-		return b.staged(ctx, enc, p, portfolio, skippedOpen)
-	default:
-		return nil, fmt.Errorf("hybrid: unknown strategy %q (have: race, staged): %w",
-			strategy, service.ErrBadRequest)
-	}
+	return b.staged(ctx, enc, p, portfolio, skippedOpen)
 }
 
 // portfolio resolves the request's (or the default) portfolio against the
@@ -165,7 +142,7 @@ func (b *Backend) Orchestrate(ctx context.Context, enc *core.Encoding, p service
 // Backends whose circuit breaker reports open (see service.HealthReporter)
 // are skipped — launching a racer that is guaranteed to fast-fail wastes a
 // goroutine and pollutes the loss statistics — and the skip count is
-// returned so the strategies can distinguish "no such backends" (a client
+// returned so the orchestration can distinguish "no such backends" (a client
 // error) from "all backends tripped" (transient unavailability, 503).
 // Half-open backends stay in: portfolio traffic is how they get probed
 // back to health.
@@ -204,7 +181,7 @@ func (b *Backend) portfolio(p service.Params) ([]string, int, error) {
 
 // subParams derives the parameters passed to a portfolio backend: the
 // hybrid knobs are stripped (they are meaningless one level down) and the
-// warm-start state is attached when the strategy produced one.
+// warm-start state is attached when the classical stage produced one.
 func subParams(p service.Params, warm []bool) service.Params {
 	p.Hybrid = service.HybridParams{}
 	p.InitialState = warm

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,55 +156,6 @@ func TestStagedMatchesBestSingleBackend(t *testing.T) {
 	}
 }
 
-// TestRaceFirstValidWinsAndCancelsLosers pins the racing contract: the
-// first valid answer ends the race, the losers' contexts are cancelled
-// promptly, and no goroutines leak.
-func TestRaceFirstValidWinsAndCancelsLosers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	reg := testRegistry(t)
-	slow := &slowBackend{released: make(chan struct{})}
-	if err := reg.Register(slow); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Config{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, enc := cliqueInstance(t, 6, 7)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	start := time.Now()
-	out, err := b.Orchestrate(ctx, enc, service.Params{
-		Seed:   7,
-		Hybrid: service.HybridParams{Strategy: StrategyRace, Portfolio: []string{"slow", "greedy"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Winner != "greedy" {
-		t.Errorf("winner = %q, want greedy", out.Winner)
-	}
-	// The race must end far before the 10s deadline: greedy is instant and
-	// the slow loser must not hold up the response.
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("race took %v despite an instant winner", elapsed)
-	}
-	// The loser must observe the cancellation promptly.
-	select {
-	case <-slow.released:
-	case <-time.After(2 * time.Second):
-		t.Error("slow loser never observed cancellation")
-	}
-	// The loser's candidate (when collected) must carry the context error.
-	for _, c := range out.Candidates {
-		if c.Backend == "slow" && !errors.Is(c.Err, context.Canceled) {
-			t.Errorf("slow candidate error = %v, want context.Canceled", c.Err)
-		}
-	}
-	settleGoroutines(t, base)
-}
-
 // TestStagedCancellationReleasesWorkers cancels the parent mid-quantum-
 // stage and checks the portfolio goroutines exit. DP is gated below the
 // instance size: an exact DP incumbent would end the request before the
@@ -228,7 +178,7 @@ func TestStagedCancellationReleasesWorkers(t *testing.T) {
 		defer close(done)
 		out, err := b.Orchestrate(ctx, enc, service.Params{
 			Seed:   8,
-			Hybrid: service.HybridParams{Strategy: StrategyStaged, Portfolio: []string{"slow"}},
+			Hybrid: service.HybridParams{Portfolio: []string{"slow"}},
 		})
 		// The classical incumbent survives the cancellation.
 		if err != nil {
@@ -261,25 +211,13 @@ func TestPortfolioValidation(t *testing.T) {
 	_, enc := cliqueInstance(t, 4, 9)
 	ctx := context.Background()
 
-	// want is a substring the error must carry; an unknown strategy
-	// lists exactly the strategies that exist.
-	cases := []struct {
-		name   string
-		hybrid service.HybridParams
-		want   string
-	}{
-		{"recursive portfolio", service.HybridParams{Portfolio: []string{"hybrid"}}, ""},
-		{"unknown backend", service.HybridParams{Portfolio: []string{"warp-drive"}}, ""},
-		{"unknown strategy", service.HybridParams{Strategy: "tournament"}, "(have: race, staged)"},
-		{"removed learned strategy", service.HybridParams{Strategy: "learned"}, "(have: race, staged)"},
-	}
-	for _, tc := range cases {
-		_, err := b.Orchestrate(ctx, enc, service.Params{Hybrid: tc.hybrid})
+	for name, portfolio := range map[string][]string{
+		"recursive portfolio": {"hybrid"},
+		"unknown backend":     {"warp-drive"},
+	} {
+		_, err := b.Orchestrate(ctx, enc, service.Params{Hybrid: service.HybridParams{Portfolio: portfolio}})
 		if !errors.Is(err, service.ErrBadRequest) {
-			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
-		}
-		if err != nil && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
 		}
 	}
 
@@ -295,6 +233,22 @@ func TestPortfolioValidation(t *testing.T) {
 	d, err := sb.Solve(ctx, enc, service.Params{})
 	if err != nil || !d.Valid {
 		t.Errorf("slim-registry solve: d=%+v err=%v", d, err)
+	}
+}
+
+// TestNewAcceptsOnlyStaged: the deprecated Config.Strategy takes "" or
+// "staged" and nothing else.
+func TestNewAcceptsOnlyStaged(t *testing.T) {
+	reg := testRegistry(t)
+	for _, s := range []string{"", StrategyStaged} {
+		if _, err := New(Config{Registry: reg, Strategy: s}); err != nil {
+			t.Errorf("strategy %q: %v", s, err)
+		}
+	}
+	for _, s := range []string{"race", "learned"} {
+		if _, err := New(Config{Registry: reg, Strategy: s}); err == nil {
+			t.Errorf("strategy %q accepted", s)
+		}
 	}
 }
 

@@ -9,81 +9,33 @@ import (
 
 	"quantumjoin/internal/core"
 	"quantumjoin/internal/faults"
-	"quantumjoin/internal/join"
 	"quantumjoin/internal/service"
 )
 
-// flakyBackend fails its first failures calls with a transient fault, then
-// returns the identity-order plan.
-type flakyBackend struct {
-	name     string
-	failures int
-	calls    atomic.Int64
+// brokenBackend fails every call with a transient fault.
+type brokenBackend struct{}
+
+func (brokenBackend) Name() string { return "qpu" }
+
+func (brokenBackend) Solve(ctx context.Context, enc *core.Encoding, p service.Params) (*core.Decoded, error) {
+	return nil, &faults.Error{Kind: faults.KindAborted, Backend: "qpu"}
 }
 
-func (f *flakyBackend) Name() string { return f.name }
-
-func (f *flakyBackend) Solve(ctx context.Context, enc *core.Encoding, p service.Params) (*core.Decoded, error) {
-	n := f.calls.Add(1)
-	if int(n) <= f.failures {
-		return nil, &faults.Error{Kind: faults.KindAborted, Backend: f.name}
-	}
-	order := make(join.Order, enc.Query.NumRelations())
-	for i := range order {
-		order[i] = i
-	}
-	return &core.Decoded{Valid: true, Order: order, Cost: enc.Query.Cost(order)}, nil
+// launchCounter counts the Solve calls that reach a backend and forwards
+// its health. It sits outside the breaker: an open breaker fast-fails
+// without calling through, so only an outer count shows a launch.
+type launchCounter struct {
+	service.Backend
+	calls atomic.Int64
 }
 
-// TestRaceReRacesOnTransientFault: a racer killed by a mid-run abort is
-// relaunched on a salted seed while the race is undecided, so a single
-// transient fault does not cost the request its only backend.
-func TestRaceReRacesOnTransientFault(t *testing.T) {
-	flaky := &flakyBackend{name: "flaky", failures: 1}
-	reg := service.NewRegistry()
-	if err := reg.Register(flaky); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Config{Registry: reg, Strategy: StrategyRace, Portfolio: []string{"flaky"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, enc := cliqueInstance(t, 5, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	d, err := b.Solve(ctx, enc, service.Params{Seed: 9})
-	if err != nil {
-		t.Fatalf("race with one transient abort failed: %v", err)
-	}
-	if !d.Valid || !d.Order.IsPermutation(q.NumRelations()) {
-		t.Fatalf("invalid result %+v", d)
-	}
-	if got := flaky.calls.Load(); got != 2 {
-		t.Errorf("backend calls = %d, want 2 (original + one relaunch)", got)
-	}
+func (c *launchCounter) Health() service.BackendHealth {
+	return c.Backend.(service.HealthReporter).Health()
 }
 
-// TestRaceRelaunchesEachBackendAtMostOnce: a persistently aborting backend
-// is relaunched exactly once, not looped on until the deadline.
-func TestRaceRelaunchesEachBackendAtMostOnce(t *testing.T) {
-	flaky := &flakyBackend{name: "flaky", failures: 1 << 30}
-	reg := service.NewRegistry()
-	if err := reg.Register(flaky); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Config{Registry: reg, Strategy: StrategyRace, Portfolio: []string{"flaky"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, enc := cliqueInstance(t, 5, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if _, err := b.Solve(ctx, enc, service.Params{Seed: 9}); err == nil {
-		t.Fatal("always-aborting backend produced a result")
-	}
-	if got := flaky.calls.Load(); got != 2 {
-		t.Errorf("backend calls = %d, want 2 (original + one relaunch)", got)
-	}
+func (c *launchCounter) Solve(ctx context.Context, enc *core.Encoding, p service.Params) (*core.Decoded, error) {
+	c.calls.Add(1)
+	return c.Backend.Solve(ctx, enc, p)
 }
 
 // tripBreaker wraps be in a breaker and feeds it failures until it opens.
@@ -102,58 +54,58 @@ func tripBreaker(t *testing.T, be service.Backend, enc *core.Encoding) service.B
 	return wrapped
 }
 
-// TestPortfolioSkipsOpenBreakers: an open backend is never launched; the
-// race proceeds on the healthy remainder.
-func TestPortfolioSkipsOpenBreakers(t *testing.T) {
+// breakerSetup registers a tripped qpu beside a DP backend gated below
+// the 5-relation instance, so the classical stage yields nothing and the
+// quantum stage really launches.
+func breakerSetup(t *testing.T, portfolio []string) (*Backend, *launchCounter, *core.Encoding) {
+	t.Helper()
 	_, enc := cliqueInstance(t, 5, 1)
-	broken := &flakyBackend{name: "qpu", failures: 1 << 30}
+	qpu := &launchCounter{Backend: tripBreaker(t, brokenBackend{}, enc)}
 	reg := service.NewRegistry()
-	if err := reg.Register(tripBreaker(t, broken, enc)); err != nil {
+	if err := reg.Register(qpu); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register(service.NewDPBackend()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{Registry: reg, Strategy: StrategyRace, Portfolio: []string{"qpu", "dp"}})
+	b, err := New(Config{Registry: reg, Portfolio: portfolio, HedgeDelay: time.Millisecond, MaxDPRelations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	callsBefore := broken.calls.Load()
+	return b, qpu, enc
+}
+
+// TestPortfolioSkipsOpenBreakers: an open backend is never launched; the
+// quantum stage proceeds on the healthy remainder.
+func TestPortfolioSkipsOpenBreakers(t *testing.T) {
+	b, qpu, enc := breakerSetup(t, []string{"qpu", "dp"})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	out, err := b.Orchestrate(ctx, enc, service.Params{Seed: 3, Hybrid: service.HybridParams{
-		Strategy: StrategyRace, Portfolio: []string{"qpu", "dp"},
-	}})
+	out, err := b.Orchestrate(ctx, enc, service.Params{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Winner != "dp" {
 		t.Errorf("winner = %q, want dp", out.Winner)
 	}
-	if broken.calls.Load() != callsBefore {
-		t.Error("open-breaker backend was launched")
+	if n := qpu.calls.Load(); n != 0 {
+		t.Errorf("open-breaker backend launched %d times", n)
 	}
 }
 
 // TestAllBreakersOpenIsUnavailable: when every portfolio backend is
-// tripped, the race maps to transient unavailability (503), never a client
-// error or a 500.
+// tripped and the classical stage is gated out, the request maps to
+// transient unavailability (503), never a client error or a 500.
 func TestAllBreakersOpenIsUnavailable(t *testing.T) {
-	_, enc := cliqueInstance(t, 5, 1)
-	broken := &flakyBackend{name: "qpu", failures: 1 << 30}
-	reg := service.NewRegistry()
-	if err := reg.Register(tripBreaker(t, broken, enc)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Config{Registry: reg, Strategy: StrategyRace, Portfolio: []string{"qpu"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = b.Solve(context.Background(), enc, service.Params{Seed: 3})
+	b, qpu, enc := breakerSetup(t, []string{"qpu"})
+	_, err := b.Solve(context.Background(), enc, service.Params{Seed: 3})
 	if !errors.Is(err, service.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 	if errors.Is(err, service.ErrBadRequest) {
 		t.Error("all-open portfolio misclassified as a client error")
+	}
+	if n := qpu.calls.Load(); n != 0 {
+		t.Errorf("open-breaker backend launched %d times", n)
 	}
 }

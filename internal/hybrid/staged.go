@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,19 +11,19 @@ import (
 	"quantumjoin/internal/service"
 )
 
-// classicalStage names the backends of the staged strategy's first stage,
-// in launch order. Greedy is O(T²) and never fails; DP is exact, polls the
-// context (so a tight deadline degrades the stage to greedy quality rather
-// than blowing the budget), and is additionally gated on instance size
+// classicalStage names the backends of the first stage, in launch order.
+// Greedy is O(T²) and never fails; DP is exact, polls the context (so a
+// tight deadline degrades the stage to greedy quality rather than blowing
+// the budget), and is additionally gated on instance size
 // (Config.MaxDPRelations) to bound the 2^T table memory.
 var classicalStage = []string{"greedy", "dp"}
 
-// staged runs the hedged two-stage strategy: the classical stage produces
-// an instant feasible incumbent. When DP proved that incumbent optimal the
-// request returns at once. Otherwise — after the hedge delay, and only if
-// enough deadline remains — the quantum-simulated portfolio launches warm-
-// started from that incumbent, improving the answer anytime until the
-// deadline. The final plan is never worse than the classical incumbent.
+// staged runs the hedged two-stage orchestration: the classical stage
+// produces an instant feasible incumbent. When DP proved that incumbent
+// optimal the request returns at once. Otherwise — after the hedge delay,
+// and only if enough deadline remains — the quantum-simulated portfolio
+// launches warm-started from that incumbent, improving the answer anytime
+// until the deadline. The final plan is never worse than the classical incumbent.
 // Open-breaker backends were already filtered from the portfolio; the
 // classical stage keeps working regardless, so tripped quantum backends
 // degrade quality, never availability.
@@ -82,10 +83,7 @@ func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Para
 				d, err := be.Solve(spanCtx, enc, subParams(p, warm))
 				c := vet(enc, name, d, err, time.Since(start))
 				span.SetAttr("valid", c.Decoded != nil)
-				// The staged portfolio has no private race context: the
-				// request context both cancels stragglers and carries the
-				// deadline, so it plays both roles here.
-				endRacerSpan(span, ctx, ctx, err)
+				endRacerSpan(ctx, span, err)
 				results <- c
 			}(name, be)
 		}
@@ -109,7 +107,28 @@ func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Para
 		return nil, fmt.Errorf("hybrid: all %d portfolio backends have open circuit breakers: %w",
 			skippedOpen, service.ErrUnavailable)
 	}
-	return b.arbitrate(ctx, StrategyStaged, candidates)
+	return b.arbitrate(ctx, candidates)
+}
+
+// endRacerSpan closes a portfolio racer's span, recording why a racer
+// stopped early: the request deadline hit, or the client went away.
+// Cancellation is an outcome, not a failure — only a genuine backend error
+// (while the request was still live) marks the span errored, so healthy
+// requests stay subject to probabilistic sampling.
+func endRacerSpan(ctx context.Context, span *obs.Span, err error) {
+	if ctx.Err() == nil {
+		span.End(err)
+		return
+	}
+	reason := "client_cancelled"
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		reason = "deadline"
+	}
+	span.SetAttr("cancel_reason", reason)
+	if err != nil {
+		span.SetAttr("error", err.Error())
+	}
+	span.End(nil)
 }
 
 // hedge sleeps for the hedge delay (bounded by the context) and reports
@@ -123,9 +142,9 @@ func (b *Backend) hedge(ctx context.Context, p service.Params) bool {
 		return ctx.Err() == nil
 	}
 	// Launching right at the deadline is useless: cap the wait so at
-	// least MinBudget of solving time remains afterwards.
+	// least minBudget of solving time remains afterwards.
 	if deadline, ok := ctx.Deadline(); ok {
-		if room := time.Until(deadline) - b.cfg.MinBudget; room < delay {
+		if room := time.Until(deadline) - minBudget; room < delay {
 			delay = room
 		}
 		if delay <= 0 {
@@ -149,7 +168,7 @@ func (b *Backend) budgetLeft(ctx context.Context) bool {
 		return false
 	}
 	if deadline, ok := ctx.Deadline(); ok {
-		return time.Until(deadline) >= b.cfg.MinBudget
+		return time.Until(deadline) >= minBudget
 	}
 	return true
 }

@@ -39,11 +39,32 @@ func openSpans(s *obs.SpanSnapshot) int {
 	return n
 }
 
+// racerSpanClosed polls fetch until the named racer span is present and
+// closed: a racer cut off by the deadline ends its span on its own
+// goroutine, after the orchestration has already answered.
+func racerSpanClosed(t *testing.T, name string, fetch func() obs.TraceSnapshot) (*obs.SpanSnapshot, obs.TraceSnapshot) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		trace := fetch()
+		racer := findSpan(&trace.Root, name)
+		if racer != nil && !racer.Open {
+			return racer, trace
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s missing or still open in the stored trace: %+v", name, racer)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestHybridTraceEndToEnd is the tracing acceptance path: one
-// POST /v1/optimize with the hybrid race strategy must yield a stored
-// trace — addressable by the response's X-Request-ID — whose tree carries
-// the encode stages, one child span per portfolio racer (with a
-// cancellation reason on the loser), and the decode stage.
+// POST /v1/optimize to the hybrid backend must yield a stored trace —
+// addressable by the response's X-Request-ID — whose tree carries the
+// encode stages, the classical stage, one child span per portfolio racer
+// (with a cancellation reason on the racer the deadline cut off), and the
+// decode stage. DP is gated below the 4-relation instance so the quantum
+// stage launches.
 func TestHybridTraceEndToEnd(t *testing.T) {
 	reg := testRegistry(t)
 	if err := reg.Register(&slowBackend{}); err != nil {
@@ -51,7 +72,7 @@ func TestHybridTraceEndToEnd(t *testing.T) {
 	}
 	tracer := obs.NewTracer(obs.Options{Capacity: 32, SampleRate: 1})
 	svc := service.New(reg, service.Config{Workers: 2, DefaultBackend: "dp", Tracer: tracer})
-	hb, err := New(Config{Registry: reg, Metrics: svc.Metrics()})
+	hb, err := New(Config{Registry: reg, Metrics: svc.Metrics(), MaxDPRelations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +87,8 @@ func TestHybridTraceEndToEnd(t *testing.T) {
 
 	raw, _ := json.Marshal(map[string]any{
 		"backend": "hybrid", "query": json.RawMessage(chainCatalog),
-		"strategy": "race", "portfolio": []string{"greedy", "slow"},
-		"thresholds": 2, "reads": 4, "seed": 11, "timeout_ms": 10000,
+		"portfolio": []string{"slow"}, "hedge_ms": 1,
+		"thresholds": 2, "reads": 4, "seed": 11, "timeout_ms": 200,
 	})
 	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -82,24 +103,27 @@ func TestHybridTraceEndToEnd(t *testing.T) {
 		t.Fatal("response carries no X-Request-ID")
 	}
 
-	tresp, err := http.Get(ts.URL + "/debug/traces?id=" + rid)
-	if err != nil {
-		t.Fatal(err)
+	fetch := func() obs.TraceSnapshot {
+		tresp, err := http.Get(ts.URL + "/debug/traces?id=" + rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tresp.Body.Close()
+		if tresp.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/traces?id=%s: status %d", rid, tresp.StatusCode)
+		}
+		var payload struct {
+			Traces []obs.TraceSnapshot `json:"traces"`
+		}
+		if err := json.NewDecoder(tresp.Body).Decode(&payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(payload.Traces) != 1 {
+			t.Fatalf("got %d traces for id %s, want 1", len(payload.Traces), rid)
+		}
+		return payload.Traces[0]
 	}
-	defer tresp.Body.Close()
-	if tresp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/traces?id=%s: status %d", rid, tresp.StatusCode)
-	}
-	var payload struct {
-		Traces []obs.TraceSnapshot `json:"traces"`
-	}
-	if err := json.NewDecoder(tresp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	if len(payload.Traces) != 1 {
-		t.Fatalf("got %d traces for id %s, want 1", len(payload.Traces), rid)
-	}
-	trace := payload.Traces[0]
+	racer, trace := racerSpanClosed(t, "racer.slow", fetch)
 	if trace.TraceID != rid {
 		t.Errorf("trace id = %q, want the request id %q", trace.TraceID, rid)
 	}
@@ -114,20 +138,20 @@ func TestHybridTraceEndToEnd(t *testing.T) {
 			t.Errorf("trace is missing span %q", name)
 		}
 	}
-	// One child span per racer, under the solve span.
+	// The classical stage and one child span per racer, under the solve
+	// span.
 	solve := findSpan(root, "solve")
 	if solve == nil {
 		t.Fatal("trace is missing the solve span")
 	}
-	if findSpan(solve, "racer.greedy") == nil {
-		t.Error("trace is missing racer.greedy")
+	if findSpan(solve, "classical.greedy") == nil {
+		t.Error("trace is missing classical.greedy")
 	}
-	loser := findSpan(solve, "racer.slow")
-	if loser == nil {
-		t.Fatal("trace is missing racer.slow")
+	if findSpan(solve, "racer.slow") == nil {
+		t.Error("racer.slow is not under the solve span")
 	}
-	if reason, ok := loser.Attrs["cancel_reason"]; !ok || reason != "lost_race" {
-		t.Errorf("loser cancel_reason = %v, want lost_race (attrs %v)", reason, loser.Attrs)
+	if reason := racer.Attrs["cancel_reason"]; reason != "deadline" {
+		t.Errorf("racer cancel_reason = %v, want deadline (attrs %v)", reason, racer.Attrs)
 	}
 	if findSpan(root, "decode") == nil {
 		t.Error("trace is missing the decode span")
@@ -137,29 +161,29 @@ func TestHybridTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRaceLoserSpansCloseExactlyOnce pins the racer span lifecycle under
-// -race: a cancelled loser's goroutine must close its span exactly once —
-// no span left open, no goroutine leaked — and record why it stopped.
-func TestRaceLoserSpansCloseExactlyOnce(t *testing.T) {
+// TestStagedRacerSpansCloseExactlyOnce pins the racer span lifecycle under
+// -race: a portfolio racer that loses to the deadline must close its span
+// exactly once — no span left open, no goroutine leaked — and record why
+// it stopped. DP is gated below the instance size so the quantum stage
+// launches.
+func TestStagedRacerSpansCloseExactlyOnce(t *testing.T) {
 	base := runtime.NumGoroutine()
 	reg := testRegistry(t)
 	released := make(chan struct{})
 	if err := reg.Register(&slowBackend{released: released}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{Registry: reg})
+	b, err := New(Config{Registry: reg, Portfolio: []string{"slow"}, HedgeDelay: time.Millisecond, MaxDPRelations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer(obs.Options{Capacity: 8, SampleRate: 1})
 
 	_, enc := cliqueInstance(t, 6, 3)
-	ctx := obs.NewContext(context.Background(), tracer)
+	ctx, cancel := context.WithTimeout(obs.NewContext(context.Background(), tracer), 100*time.Millisecond)
+	defer cancel()
 	ctx, root := tracer.Start(ctx, "test-root")
-	out, err := b.Orchestrate(ctx, enc, service.Params{
-		Reads: 4, Seed: 3,
-		Hybrid: service.HybridParams{Strategy: StrategyRace, Portfolio: []string{"greedy", "slow"}},
-	})
+	out, err := b.Orchestrate(ctx, enc, service.Params{Reads: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,32 +193,22 @@ func TestRaceLoserSpansCloseExactlyOnce(t *testing.T) {
 	select {
 	case <-released:
 	case <-time.After(3 * time.Second):
-		t.Fatal("slow racer never observed cancellation")
-	}
-	// The loser closes its span before reporting its candidate, and the
-	// race drains reported losers before arbitrating — so by now every
-	// racer span under the root must be closed.
-	if n := root.OpenSpans(); n != 1 { // only the still-running root itself
-		t.Errorf("open spans under root = %d, want 1 (the root)", n)
+		t.Fatal("slow racer never observed the deadline")
 	}
 	root.End(nil)
 
-	trace, ok := tracer.Find(root.TraceID())
-	if !ok {
-		t.Fatal("trace was not stored despite SampleRate 1")
+	racer, trace := racerSpanClosed(t, "racer.slow", func() obs.TraceSnapshot {
+		trace, ok := tracer.Find(root.TraceID())
+		if !ok {
+			t.Fatal("trace was not stored despite SampleRate 1")
+		}
+		return trace
+	})
+	if reason := racer.Attrs["cancel_reason"]; reason != "deadline" {
+		t.Errorf("racer cancel_reason = %v, want deadline", reason)
 	}
-	loser := findSpan(&trace.Root, "racer.slow")
-	if loser == nil {
-		t.Fatal("stored trace is missing racer.slow")
-	}
-	if loser.Open {
-		t.Error("loser span still open in stored trace")
-	}
-	if reason := loser.Attrs["cancel_reason"]; reason != "lost_race" {
-		t.Errorf("loser cancel_reason = %v, want lost_race", reason)
-	}
-	if loser.Error != "" {
-		t.Errorf("cancelled loser marked errored (%q); cancellation is an outcome, not a failure", loser.Error)
+	if racer.Error != "" {
+		t.Errorf("cancelled racer marked errored (%q); cancellation is an outcome, not a failure", racer.Error)
 	}
 	if n := openSpans(&trace.Root); n != 0 {
 		t.Errorf("%d spans still open in the stored trace, want 0", n)

@@ -226,8 +226,9 @@ func (t *Tracer) randFloat() float64 {
 }
 
 // Snapshots returns the stored traces, most recent first. Traces holding
-// still-open spans (stragglers past a race's drain grace) snapshot those
-// spans with Open: true and their duration so far.
+// still-open spans (racers still running when the deadline ended the
+// orchestration) snapshot those spans with Open: true and their duration
+// so far.
 func (t *Tracer) Snapshots() []TraceSnapshot {
 	if t == nil {
 		return nil

@@ -193,7 +193,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 func TestLateEndingChildVisibleInStoredTrace(t *testing.T) {
-	// A racer that ends after its root was stored (past the drain grace)
+	// A racer that ends after its root was stored (cut off by the deadline)
 	// must still render closed once it ends — snapshots are read-time.
 	tr := NewTracer(Options{Seed: 1})
 	ctx, root := tr.Start(context.Background(), "root")

@@ -54,15 +54,11 @@ type DecompParams struct {
 	PartBudget int
 }
 
-// HybridParams select and tune a hybrid orchestration strategy. The zero
-// value picks the backend's defaults.
+// HybridParams tune the hybrid orchestration. The zero value picks the
+// backend's defaults.
 type HybridParams struct {
-	// Strategy is "race" (portfolio racing: first valid result wins) or
-	// "staged" (classical first, hedged quantum launch, anytime
-	// improvement until the deadline). Empty selects the backend default.
-	Strategy string
-	// Portfolio lists the backend names to race or stage; empty selects
-	// the backend default portfolio.
+	// Portfolio lists the backend names of the quantum stage; empty
+	// selects the backend default portfolio.
 	Portfolio []string
 	// HedgeDelay is how long the staged strategy waits after launching the
 	// classical stage before hedging with the quantum-simulated solvers;

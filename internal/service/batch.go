@@ -248,7 +248,7 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 		// their extra inputs are not part of the group key.
 		p := req.Params
 		gk := groupKey{key: key, name: name, reads: p.Reads, seed: p.Seed}
-		if len(p.InitialState) != 0 || p.Hybrid.Strategy != "" || len(p.Hybrid.Portfolio) != 0 || p.Hybrid.HedgeDelay != 0 {
+		if len(p.InitialState) != 0 || len(p.Hybrid.Portfolio) != 0 || p.Hybrid.HedgeDelay != 0 {
 			gk = groupKey{solo: i + 1}
 		}
 		gi, ok := b.byKey[gk]

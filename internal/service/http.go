@@ -23,10 +23,10 @@ import (
 // reconfigured), values above Config.MaxTimeout are clamped to it, and
 // negative values are rejected with 400.
 //
-// Strategy, Portfolio, and HedgeMs tune the hybrid backend only: Strategy
-// is "race" or "staged", Portfolio lists backend names to orchestrate, and
-// HedgeMs is the staged strategy's hedge delay in milliseconds (0 default,
-// negative launches quantum stages immediately).
+// Portfolio and HedgeMs tune the hybrid backend only: Portfolio lists
+// backend names to orchestrate, and HedgeMs is the hedge delay before the
+// quantum stage in milliseconds (0 default, negative launches it
+// immediately).
 //
 // Lean trims the response for throughput-sensitive callers: the rendered
 // join tree and the optimal-cost comparison (a classical DP per unseen
@@ -46,7 +46,6 @@ type OptimizeRequest struct {
 	// (0 selects the backend default); other backends ignore it.
 	PartBudget int      `json:"part_budget,omitempty"`
 	TimeoutMs  int      `json:"timeout_ms,omitempty"`
-	Strategy   string   `json:"strategy,omitempty"`
 	Portfolio  []string `json:"portfolio,omitempty"`
 	HedgeMs    int      `json:"hedge_ms,omitempty"`
 	Lean       bool     `json:"lean,omitempty"`
@@ -260,7 +259,6 @@ func toRequest(body *OptimizeRequest) (*Request, string) {
 			Reads: body.Reads,
 			Seed:  body.Seed,
 			Hybrid: HybridParams{
-				Strategy:   body.Strategy,
 				Portfolio:  body.Portfolio,
 				HedgeDelay: time.Duration(body.HedgeMs) * time.Millisecond,
 			},
