@@ -12,12 +12,16 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
+	"time"
 
 	"quantumjoin/internal/join"
 )
 
-// MaxDPRelations bounds the DP solver; beyond this the 2^T table does not
-// fit in memory on commodity machines.
+// MaxDPRelations bounds the DP solver. The sweep keeps three 2^T tables
+// (cost, cardinality and last relation: 17·2^T bytes), ~17 MiB at 20
+// relations and ~1.1 GiB at 26; beyond that they do not fit in memory on
+// commodity machines.
 const MaxDPRelations = 26
 
 // Result is an optimised join order with its C_out cost.
@@ -35,13 +39,36 @@ func Optimal(q *join.Query) (Result, error) {
 	return OptimalContext(context.Background(), q)
 }
 
-// dpPollMask gates the context check in OptimalContext to once every 8192
-// subsets, keeping the poll off the inner loop's hot path.
-const dpPollMask = 8192 - 1
+// dpPollMask gates the context check and the finish-time prediction in
+// OptimalContext to once every 1024 subsets (~50 µs of sweep at 20
+// relations), keeping both off the inner loop's hot path.
+const dpPollMask = 1024 - 1
 
-// OptimalContext is Optimal with cancellation: the subset sweep polls the
-// context periodically, so a request deadline interrupts the table fill on
-// instances where 2^T iterations take longer than the caller can wait.
+// dpPredictAfter is the share of the sweep's inner-loop work done before
+// the finish-time prediction is trusted: earlier, a single scheduling
+// stall would dominate the measured rate.
+const dpPredictAfter = 1.0 / 16
+
+// dpSafety pads the predicted remaining sweep time, leaving room for the
+// caller's work after the sweep. The extrapolation errs both ways: a
+// garbage collection started by the tables' allocation slows the first
+// subsets, and the growing working set slows the last. Replaying the
+// prediction over the 24 querygen.DeadlineStratified queries at 18 and 20
+// relations (seed 1, twice each, 2 vCPUs) at padding 1.1, 1 of 48
+// 20-relation sweeps that fit a 100 ms budget was dropped, and no sweep
+// that missed a 20, 25 or 100 ms budget was kept; padding 1.5 dropped 19
+// of those 48.
+const dpSafety = 1.1
+
+// OptimalContext is Optimal under a context. The subset sweep polls the
+// context periodically, so cancellation interrupts the table fill. When
+// the context has a deadline the sweep also predicts its own finish from
+// the inner-loop work done so far and the time it took on this host, and
+// gives up as soon as that finish (padded by dpSafety) falls after the
+// deadline, rather than spending the caller's whole budget on a plan it
+// cannot deliver. Either way the error wraps the context's error, or
+// context.DeadlineExceeded for a predicted overrun; a context that is
+// already done returns before any table is allocated.
 func OptimalContext(ctx context.Context, q *join.Query) (Result, error) {
 	n := q.NumRelations()
 	if n < 2 {
@@ -50,36 +77,79 @@ func OptimalContext(ctx context.Context, q *join.Query) (Result, error) {
 	if n > MaxDPRelations {
 		return Result{}, fmt.Errorf("classical: %d relations exceeds DP limit %d", n, MaxDPRelations)
 	}
-	size := uint64(1) << uint(n)
-	dp := make([]float64, size)
-	last := make([]int8, size)
+	if err := ctx.Err(); err != nil {
+		return Result{}, fmt.Errorf("classical: DP not started: %w", err)
+	}
+	deadline, hasDeadline := ctx.Deadline()
+	if hasDeadline && !time.Now().Before(deadline) {
+		return Result{}, fmt.Errorf("classical: DP not started: %w", context.DeadlineExceeded)
+	}
+
+	// nbr[a] holds the relations joined to a by some predicate, sel[a*n+b]
+	// the product of the selectivities of those predicates.
+	nbr := make([]uint64, n)
+	sel := make([]float64, n*n)
+	for i := range sel {
+		sel[i] = 1
+	}
+	for _, p := range q.Predicates {
+		nbr[p.R1] |= 1 << uint(p.R2)
+		nbr[p.R2] |= 1 << uint(p.R1)
+		sel[p.R1*n+p.R2] *= p.Sel
+		sel[p.R2*n+p.R1] *= p.Sel
+	}
+
+	tables := getDPTables(n)
+	defer dpTablePools[n].Put(tables)
+	dp, card, last := tables.dp, tables.card, tables.last
+	size := uint64(len(dp))
+	card[0] = 1
+	// work is the sweep's inner-loop iteration count, Σ popcount(s).
+	work := float64(n) * float64(size/2)
+	start := time.Now()
 	for s := uint64(1); s < size; s++ {
 		if s&dpPollMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("classical: DP interrupted after %d of %d subsets: %w", s, size, err)
 			}
+			if hasDeadline {
+				// The clock is read directly: the context's timer may fire
+				// late while the sweep holds the processor.
+				now := time.Now()
+				if !now.Before(deadline) {
+					return Result{}, fmt.Errorf("classical: DP interrupted after %d of %d subsets: %w", s, size, context.DeadlineExceeded)
+				}
+				if done := popcountPrefix(s); done >= dpPredictAfter*work {
+					left := time.Duration(float64(now.Sub(start)) / done * (work - done) * dpSafety)
+					if finish := now.Add(left); finish.After(deadline) {
+						return Result{}, fmt.Errorf("classical: DP after %d of %d subsets predicts its finish %v past the deadline: %w",
+							s, size, finish.Sub(deadline).Round(time.Microsecond), context.DeadlineExceeded)
+					}
+				}
+			}
 		}
-		if bits.OnesCount64(s) == 1 { // singleton
+		// card(S) = card(S \ {low}) · card(low) · Π sel(low, i) over the
+		// members i of S \ {low} that low joins.
+		low := bits.TrailingZeros64(s)
+		rest := s & (s - 1)
+		c := card[rest] * q.Relations[low].Card
+		for m := rest & nbr[low]; m != 0; m &= m - 1 {
+			c *= sel[low*n+bits.TrailingZeros64(m)]
+		}
+		card[s] = c
+		if rest == 0 { // singleton
 			dp[s] = 0
 			last[s] = -1
 			continue
 		}
-		dp[s] = math.Inf(1)
-		card := q.SetCard(s)
-		for r := 0; r < n; r++ {
-			if s&(1<<uint(r)) == 0 {
-				continue
-			}
-			prev := s &^ (1 << uint(r))
-			if bits.OnesCount64(prev) == 0 {
-				continue
-			}
-			c := dp[prev] + card
-			if c < dp[s] {
-				dp[s] = c
-				last[s] = int8(r)
+		best, arg := math.Inf(1), int8(0)
+		for m := s; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			if v := dp[s&^(1<<uint(r))] + c; v < best {
+				best, arg = v, int8(r)
 			}
 		}
+		dp[s], last[s] = best, arg
 	}
 	full := size - 1
 	order := make(join.Order, n)
@@ -92,6 +162,43 @@ func OptimalContext(ctx context.Context, q *join.Query) (Result, error) {
 	// The remaining singleton is the first relation.
 	order[0] = bits.TrailingZeros64(s)
 	return Result{Order: order, Cost: dp[full]}, nil
+}
+
+// dpTables holds one sweep's tables. The sweep writes every entry it
+// reads, so a pooled set needs no clearing.
+type dpTables struct {
+	dp, card []float64
+	last     []int8
+}
+
+// dpTablePools keeps swept tables per relation count. A fresh 20-relation
+// set is 17 MiB that the kernel must fault in and the runtime zero before
+// the first poll: measured at 10–15 ms on a 2-vCPU VM, longer than a tight
+// deadline and invisible to the predictor. A pooled set is reused as is,
+// and the garbage collector still frees sets that stop being used.
+var dpTablePools [MaxDPRelations + 1]sync.Pool
+
+func getDPTables(n int) *dpTables {
+	if t, ok := dpTablePools[n].Get().(*dpTables); ok {
+		return t
+	}
+	size := 1 << uint(n)
+	return &dpTables{dp: make([]float64, size), card: make([]float64, size), last: make([]int8, size)}
+}
+
+// popcountPrefix returns Σ popcount(k) over 0 ≤ k < s: the inner-loop
+// iterations of the subsets the sweep has finished. Bit b is set in
+// 2^b of every 2^(b+1) consecutive integers.
+func popcountPrefix(s uint64) float64 {
+	var sum uint64
+	for b := uint(0); s>>b != 0; b++ {
+		period := uint64(1) << (b + 1)
+		sum += s / period << b
+		if r := s % period; r > period/2 {
+			sum += r - period/2
+		}
+	}
+	return float64(sum)
 }
 
 // OptimalCost is a convenience wrapper returning only the optimal cost.

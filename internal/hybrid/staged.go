@@ -12,11 +12,30 @@ import (
 )
 
 // classicalStage names the backends of the first stage, in launch order.
-// Greedy is O(T²) and never fails; DP is exact, polls the context (so a
-// tight deadline degrades the stage to greedy quality rather than blowing
-// the budget), and is additionally gated on instance size
+// Greedy is O(T²) and never fails; DP is exact, polls the context and
+// drops its sweep once it predicts a finish past the deadline (so a tight
+// deadline degrades the stage to greedy quality rather than blowing the
+// budget), and is additionally gated on instance size
 // (Config.MaxDPRelations) to bound the 2^T table memory.
 var classicalStage = []string{"greedy", "dp"}
+
+// dpDecision says why DP did or did not decide a request's plan; it is
+// the orchestration span's hybrid_dp attribute. It is empty when the
+// registry has no dp backend, when the deadline passed before DP could
+// start, and when DP failed for a reason its span records.
+func dpDecision(ctx context.Context, c Candidate, err error) string {
+	switch {
+	case c.Decoded != nil:
+		return "optimal"
+	case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+		// The sweep gave up with budget left: it predicted its own
+		// finish after the deadline.
+		return "predicted_overrun"
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		return "interrupted"
+	}
+	return ""
+}
 
 // staged runs the hedged two-stage orchestration: the classical stage
 // produces an instant feasible incumbent. When DP proved that incumbent
@@ -30,7 +49,7 @@ var classicalStage = []string{"greedy", "dp"}
 func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Params, portfolio []string, skippedOpen int) (*Outcome, error) {
 	var candidates []Candidate
 	var incumbent *Candidate
-	var dpOptimal bool
+	var dp string // dpDecision
 
 	// Stage 1: classical, synchronous, microseconds-to-milliseconds. Both
 	// backends are optional registry members; a slim registry degrades to
@@ -42,6 +61,7 @@ func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Para
 			continue
 		}
 		if name == "dp" && n > b.cfg.MaxDPRelations {
+			dp = "size_gated"
 			continue
 		}
 		if ctx.Err() != nil {
@@ -58,17 +78,22 @@ func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Para
 			cc := c
 			incumbent = &cc
 		}
-		// The dp backend errors whenever its sweep is cancelled, so a
+		// The dp backend errors whenever its sweep is cut short, so a
 		// vetted dp order is the exact C_out optimum of the left-deep
 		// plan space the samplers search too: none of them can beat it.
-		dpOptimal = dpOptimal || (name == "dp" && c.Decoded != nil)
+		if name == "dp" {
+			dp = dpDecision(ctx, c, err)
+		}
+	}
+	if dp != "" {
+		obs.ActiveSpan(ctx).SetAttrStr("hybrid_dp", dp)
 	}
 
 	// Stage 2, unless DP proved the incumbent optimal: hedge, then launch
 	// the quantum portfolio. The hedge delay gives cheap requests a chance
 	// to return without ever spinning up samplers; a negative request
 	// value disables it.
-	if dpOptimal {
+	if dp == "optimal" {
 		obs.ActiveSpan(ctx).SetAttrStr("hybrid_stage2", "skipped_dp_optimal")
 		obs.Logger(ctx).DebugContext(ctx, "hybrid stage 2 skipped: dp proved the incumbent optimal")
 	} else if len(portfolio) > 0 && b.hedge(ctx, p) && b.budgetLeft(ctx) {

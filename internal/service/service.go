@@ -471,17 +471,16 @@ func vetDecoded(n int, backend string, d *core.Decoded) error {
 }
 
 // fallback is the last-resort classical path: the exact DP plan when the
-// instance is small and deadline budget remains, the greedy plan
-// otherwise. Greedy is pure microsecond-scale compute and needs no
-// context, so it succeeds even when the deadline is already blown — the
-// degraded answer is always available.
+// instance is small and the sweep can finish before the deadline (the
+// sweep predicts its own finish and gives up early, and does not start
+// once the deadline has passed), the greedy plan otherwise. Greedy is pure
+// microsecond-scale compute and needs no context, so it succeeds even when
+// the deadline is already blown — the degraded answer is always available.
 func (s *Service) fallback(ctx context.Context, q *join.Query) (*core.Decoded, string) {
 	n := q.NumRelations()
 	if s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		if deadline, ok := ctx.Deadline(); !ok || time.Until(deadline) > 10*time.Millisecond {
-			if res, err := classical.OptimalContext(ctx, q); err == nil {
-				return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, "dp"
-			}
+		if res, err := classical.OptimalContext(ctx, q); err == nil {
+			return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, "dp"
 		}
 	}
 	res := classical.Greedy(q)

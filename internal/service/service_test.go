@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"quantumjoin/internal/classical"
 	"quantumjoin/internal/core"
 	"quantumjoin/internal/join"
+	"quantumjoin/internal/querygen"
 )
 
 // pairQuery is the smallest instance — QAOA-sized.
@@ -332,5 +335,36 @@ func TestBackendsAcceptInitialState(t *testing.T) {
 		if !d.Valid || len(d.Order) != 2 {
 			t.Fatalf("%s warm solve returned %+v", b.Name(), d)
 		}
+	}
+}
+
+// TestFallbackLetsTheSweepDecide: the degraded path hands its deadline to
+// the DP sweep, which decides for itself whether it can finish. 8 ms is
+// ample for 14 relations, so the fallback plan is exact; once the deadline
+// has passed the sweep does not start and greedy answers.
+func TestFallbackLetsTheSweepDecide(t *testing.T) {
+	svc := New(classicalRegistry(t), Config{Workers: 1, Degrade: true})
+	defer svc.Close(context.Background())
+	q, err := querygen.Generate(querygen.Config{Relations: 14, Graph: querygen.Chain}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := classical.Optimal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
+	d, producer := svc.fallback(ctx, q)
+	cancel()
+	if producer != "dp" || d.Cost != opt.Cost {
+		t.Errorf("8 ms left: fallback %s with cost %v, want dp with the optimum %v", producer, d.Cost, opt.Cost)
+	}
+
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	defer cancel()
+	d, producer = svc.fallback(expired, q)
+	if greedy := classical.Greedy(q); producer != "greedy" || d.Cost != greedy.Cost {
+		t.Errorf("deadline passed: fallback %s with cost %v, want greedy's %v", producer, d.Cost, greedy.Cost)
 	}
 }
