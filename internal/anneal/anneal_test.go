@@ -1,6 +1,8 @@
 package anneal
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,14 +172,64 @@ func TestDeviceNoiseDegradesQuality(t *testing.T) {
 	}
 }
 
+// TestSampleValidation: every sampling entry point — Sample, the
+// precomputed-embedding SampleEmbedded and the batch path — rejects a
+// non-positive read count or annealing time, in sequential and batched
+// read modes alike, and accepts a valid budget.
 func TestSampleValidation(t *testing.T) {
-	d := testDevice()
 	q := smallQUBO()
-	if _, err := d.Sample(q, 0, 20, 1); err == nil {
-		t.Error("accepted 0 reads")
+	emb, err := testDevice().EmbedOnly(q, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := d.Sample(q, 10, 0, 1); err == nil {
-		t.Error("accepted 0 annealing time")
+	entries := []struct {
+		name   string
+		sample func(d *Device, reads int, at float64) (*Result, error)
+	}{
+		{"Sample", func(d *Device, reads int, at float64) (*Result, error) {
+			return d.Sample(q, reads, at, 1)
+		}},
+		{"SampleEmbedded", func(d *Device, reads int, at float64) (*Result, error) {
+			return d.SampleEmbedded(q, emb, reads, at, 1)
+		}},
+		{"SampleBatch", func(d *Device, reads int, at float64) (*Result, error) {
+			res, errs := d.SampleBatchContext(context.Background(), []BatchJob{{Q: q, Reads: reads, AnnealTimeMicros: at, Seed: 1, Embedding: emb}})
+			return res[0], errs[0]
+		}},
+	}
+	cases := []struct {
+		reads int
+		at    float64
+		ok    bool
+	}{
+		{0, 20, false},
+		{-3, 20, false},
+		{5, 0, false},
+		{5, -1, false},
+		{5, 20, true},
+	}
+	for _, batchReads := range []int{0, 32} {
+		for _, e := range entries {
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("batch%d/%s/reads%d/at%v", batchReads, e.name, c.reads, c.at), func(t *testing.T) {
+					d := testDevice()
+					d.BatchReads = batchReads
+					res, err := e.sample(d, c.reads, c.at)
+					if !c.ok {
+						if err == nil {
+							t.Fatalf("accepted reads=%d, annealing time %v (%d samples)", c.reads, c.at, len(res.Assignments))
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Assignments) != c.reads {
+						t.Fatalf("%d samples, want %d", len(res.Assignments), c.reads)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -4,13 +4,15 @@ import (
 	"context"
 	"fmt"
 
+	"quantumjoin/internal/minorembed"
 	"quantumjoin/internal/obs"
 	"quantumjoin/internal/qubo"
 )
 
 // BatchJob is one QUBO sampling job in a batch: the logical problem plus
-// the per-job sampling knobs SampleContext would take as arguments. Zero
-// Reads or AnnealTimeMicros are rejected per job, mirroring SampleContext.
+// the per-job sampling knobs SampleContext would take as arguments.
+// Non-positive Reads or AnnealTimeMicros are rejected per job, mirroring
+// SampleContext.
 type BatchJob struct {
 	Q                *qubo.QUBO
 	Reads            int
@@ -19,6 +21,10 @@ type BatchJob struct {
 	// InitialState, when non-nil, warm-starts the job (see
 	// Device.InitialState); other jobs in the batch are unaffected.
 	InitialState []bool
+	// Embedding, when non-nil, is a precomputed minor embedding of Q into
+	// the device graph, used as SampleEmbeddedContext would; nil embeds
+	// the job with EmbedOnlyContext at Seed.
+	Embedding *minorembed.Embedding
 }
 
 // scratchPool hands out a reusable perturbation buffer per physical
@@ -42,11 +48,13 @@ func (s *scratchPool) perturbCopy(p *IsingProblem) *IsingProblem {
 }
 
 // SampleBatchContext sweeps many QUBO instances through the annealer in
-// one array pass: each job is embedded once, and the read loops run with a
-// shared per-job perturbation scratch, so the ICE-noise copy that the
-// standalone path allocates on every read is replaced by an in-place
-// refresh. Results are bit-identical to calling SampleContext per job with
-// the same seed (the RNG streams are per job).
+// one array pass: each job without a precomputed embedding is embedded
+// once, and the read loops run with a shared per-job perturbation
+// scratch, so the ICE-noise copy that the standalone path allocates on
+// every read is replaced by an in-place refresh. Results are bit-identical
+// to calling SampleContext per job with the same seed, or
+// SampleEmbeddedContext when the job carries its embedding (the RNG
+// streams are per job).
 //
 // Returned slices are index-aligned with jobs. A job error (embedding
 // failure, invalid knobs, interruption) fails that job only; once the
@@ -63,12 +71,8 @@ func (d *Device) SampleBatchContext(ctx context.Context, jobs []BatchJob) ([]*Re
 			errs[i] = fmt.Errorf("anneal: batch interrupted before job %d/%d: %w", i, len(jobs), err)
 			continue
 		}
-		if job.Reads <= 0 {
-			errs[i] = fmt.Errorf("anneal: reads must be positive, got %d", job.Reads)
-			continue
-		}
-		if job.AnnealTimeMicros <= 0 {
-			errs[i] = fmt.Errorf("anneal: annealing time must be positive, got %v", job.AnnealTimeMicros)
+		if err := checkBudget(job.Reads, job.AnnealTimeMicros); err != nil {
+			errs[i] = err
 			continue
 		}
 		dev := d
@@ -77,10 +81,13 @@ func (d *Device) SampleBatchContext(ctx context.Context, jobs []BatchJob) ([]*Re
 			warm.InitialState = job.InitialState
 			dev = &warm
 		}
-		emb, err := dev.EmbedOnlyContext(ctx, job.Q, job.Seed)
-		if err != nil {
-			errs[i] = err
-			continue
+		emb := job.Embedding
+		if emb == nil {
+			var err error
+			if emb, err = dev.EmbedOnlyContext(ctx, job.Q, job.Seed); err != nil {
+				errs[i] = err
+				continue
+			}
 		}
 		results[i], errs[i] = dev.sampleEmbeddedContext(ctx, job.Q, emb, job.Reads, job.AnnealTimeMicros, job.Seed, scratch)
 	}

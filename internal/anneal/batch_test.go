@@ -23,7 +23,8 @@ func batchTestQUBO(n int, rng *rand.Rand) *qubo.QUBO {
 // TestSampleBatchMatchesSingle pins the batch read loop (shared
 // perturbation scratch via CopyInto) to the standalone SampleContext path:
 // with equal seeds the RNG streams are identical, so the assignments and
-// energies must match bit for bit.
+// energies must match bit for bit. Jobs that carry a precomputed
+// embedding (a memo hit in the service) must match too.
 func TestSampleBatchMatchesSingle(t *testing.T) {
 	g, _ := topology.Pegasus(3)
 	dev := NewDevice(g)
@@ -37,25 +38,39 @@ func TestSampleBatchMatchesSingle(t *testing.T) {
 			Seed:             int64(100 + i),
 		})
 	}
-	results, errs := dev.SampleBatchContext(context.Background(), jobs)
+	embedded := make([]BatchJob, len(jobs))
 	for i, job := range jobs {
-		if errs[i] != nil {
-			t.Fatalf("job %d: %v", i, errs[i])
-		}
-		want, err := dev.SampleContext(context.Background(), job.Q, job.Reads, job.AnnealTimeMicros, job.Seed)
+		emb, err := dev.EmbedOnly(job.Q, job.Seed)
 		if err != nil {
-			t.Fatalf("job %d single: %v", i, err)
+			t.Fatalf("job %d embed: %v", i, err)
 		}
-		if len(results[i].Assignments) != len(want.Assignments) {
-			t.Fatalf("job %d: %d reads != %d", i, len(results[i].Assignments), len(want.Assignments))
-		}
-		for r := range want.Assignments {
-			if results[i].Energies[r] != want.Energies[r] {
-				t.Fatalf("job %d read %d: batch energy %v != single %v", i, r, results[i].Energies[r], want.Energies[r])
+		embedded[i] = job
+		embedded[i].Embedding = emb
+	}
+	for _, batch := range []struct {
+		name string
+		jobs []BatchJob
+	}{{"embedded by the batch", jobs}, {"precomputed embedding", embedded}} {
+		results, errs := dev.SampleBatchContext(context.Background(), batch.jobs)
+		for i, job := range batch.jobs {
+			if errs[i] != nil {
+				t.Fatalf("%s: job %d: %v", batch.name, i, errs[i])
 			}
-			for v := range want.Assignments[r] {
-				if results[i].Assignments[r][v] != want.Assignments[r][v] {
-					t.Fatalf("job %d read %d: assignment differs at %d", i, r, v)
+			want, err := dev.SampleContext(context.Background(), job.Q, job.Reads, job.AnnealTimeMicros, job.Seed)
+			if err != nil {
+				t.Fatalf("job %d single: %v", i, err)
+			}
+			if len(results[i].Assignments) != len(want.Assignments) {
+				t.Fatalf("%s: job %d: %d reads != %d", batch.name, i, len(results[i].Assignments), len(want.Assignments))
+			}
+			for r := range want.Assignments {
+				if results[i].Energies[r] != want.Energies[r] {
+					t.Fatalf("%s: job %d read %d: batch energy %v != single %v", batch.name, i, r, results[i].Energies[r], want.Energies[r])
+				}
+				for v := range want.Assignments[r] {
+					if results[i].Assignments[r][v] != want.Assignments[r][v] {
+						t.Fatalf("%s: job %d read %d: assignment differs at %d", batch.name, i, r, v)
+					}
 				}
 			}
 		}

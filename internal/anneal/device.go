@@ -162,11 +162,8 @@ func (d *Device) Sample(q *qubo.QUBO, reads int, annealTimeMicros float64, seed 
 // returns the reads collected so far together with the context error
 // wrapped in partial-progress information.
 func (d *Device) SampleContext(ctx context.Context, q *qubo.QUBO, reads int, annealTimeMicros float64, seed int64) (*Result, error) {
-	if reads <= 0 {
-		return nil, fmt.Errorf("anneal: reads must be positive, got %d", reads)
-	}
-	if annealTimeMicros <= 0 {
-		return nil, fmt.Errorf("anneal: annealing time must be positive, got %v", annealTimeMicros)
+	if err := checkBudget(reads, annealTimeMicros); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("anneal: cancelled before embedding: %w", err)
@@ -176,6 +173,18 @@ func (d *Device) SampleContext(ctx context.Context, q *qubo.QUBO, reads int, ann
 		return nil, err
 	}
 	return d.SampleEmbeddedContext(ctx, q, emb, reads, annealTimeMicros, seed)
+}
+
+// checkBudget rejects a non-positive read count or annealing time. Every
+// sampling entry point runs it before any embedding or read.
+func checkBudget(reads int, annealTimeMicros float64) error {
+	if reads <= 0 {
+		return fmt.Errorf("anneal: reads must be positive, got %d", reads)
+	}
+	if annealTimeMicros <= 0 {
+		return fmt.Errorf("anneal: annealing time must be positive, got %v", annealTimeMicros)
+	}
+	return nil
 }
 
 // SampleEmbedded is Sample with a precomputed embedding (reuse across
@@ -189,6 +198,9 @@ func (d *Device) SampleEmbedded(q *qubo.QUBO, emb *minorembed.Embedding, reads i
 // the read loop runs under an "anneal.sample" child span recording the
 // read/sweep budget and the chain-break fraction.
 func (d *Device) SampleEmbeddedContext(ctx context.Context, q *qubo.QUBO, emb *minorembed.Embedding, reads int, annealTimeMicros float64, seed int64) (*Result, error) {
+	if err := checkBudget(reads, annealTimeMicros); err != nil {
+		return nil, err
+	}
 	ctx, span := obs.StartSpan(ctx, "anneal.sample")
 	span.SetAttr("reads", reads)
 	res, err := d.sampleEmbeddedContext(ctx, q, emb, reads, annealTimeMicros, seed, nil)

@@ -20,12 +20,15 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"quantumjoin/internal/classical"
 	"quantumjoin/internal/join"
 	"quantumjoin/internal/linprog"
+	"quantumjoin/internal/minorembed"
 	"quantumjoin/internal/obs"
 	"quantumjoin/internal/qubo"
+	"quantumjoin/internal/topology"
 )
 
 // VarKind labels the semantic role of a model variable.
@@ -143,6 +146,39 @@ type Encoding struct {
 	optOnce sync.Once
 	optRes  classical.Result
 	optErr  error
+
+	// Memoised minor embedding of QUBO (see Embedding).
+	embPtr atomic.Pointer[embeddingMemo]
+}
+
+// embeddingMemo is one stored minor embedding together with the inputs
+// the embedder was run with.
+type embeddingMemo struct {
+	graph *topology.Graph
+	tries int
+	seed  int64
+	emb   *minorembed.Embedding
+}
+
+// Embedding returns the minor embedding of QUBO into graph that
+// SetEmbedding stored for the same embedder restart budget and seed, or
+// nil. An encoding held in the service's LRU cache thereby embeds once
+// per seed instead of once per request, and an evicted encoding drops
+// its embedding with it. The returned embedding is shared and read-only.
+func (e *Encoding) Embedding(graph *topology.Graph, tries int, seed int64) *minorembed.Embedding {
+	if m := e.embPtr.Load(); m != nil && m.graph == graph && m.tries == tries && m.seed == seed {
+		return m.emb
+	}
+	return nil
+}
+
+// SetEmbedding stores emb as the embedding of QUBO into graph for the
+// given restart budget and seed, replacing any earlier one: the slot
+// holds a single key. Store only embeddings the embedder computed with
+// its full budget — one cut short by a cancelled context would make every
+// later request with this seed depend on the first request's deadline.
+func (e *Encoding) SetEmbedding(graph *topology.Graph, tries int, seed int64, emb *minorembed.Embedding) {
+	e.embPtr.Store(&embeddingMemo{graph: graph, tries: tries, seed: seed, emb: emb})
 }
 
 // NumQubits returns the number of logical qubits the encoding needs (one

@@ -31,7 +31,10 @@ type Params struct {
 	// restarts depending on the backend. Zero selects a backend default.
 	Reads int
 	// Seed drives embedding and sampling; equal seeds give reproducible
-	// results on every backend.
+	// results on every backend. The anneal backend embeds at this seed
+	// and memoises the embedding on the cached encoding, so a repeat
+	// request with the same seed skips the embedder and returns exactly
+	// what a cold call returns.
 	Seed int64
 	// InitialState, when non-nil, warm-starts the solver from a full QUBO
 	// assignment (length Encoding.NumQubits(); build one from a join order

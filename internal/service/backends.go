@@ -9,6 +9,8 @@ import (
 	"quantumjoin/internal/anneal"
 	"quantumjoin/internal/classical"
 	"quantumjoin/internal/core"
+	"quantumjoin/internal/minorembed"
+	"quantumjoin/internal/obs"
 	"quantumjoin/internal/qaoa"
 	"quantumjoin/internal/qsim"
 	"quantumjoin/internal/qubo"
@@ -87,7 +89,12 @@ func bestValid(enc *core.Encoding, assignments [][]bool) (*core.Decoded, error) 
 
 // annealBackend samples the encoding on the simulated D-Wave-style
 // annealer. The device (including its Pegasus hardware graph) is built
-// once and shared across requests; Sample does not mutate it.
+// once and shared across requests; Sample does not mutate it. Like the
+// paper, which embeds each instance once and sweeps annealing times over
+// that embedding, it embeds a cached encoding once per seed: the minor
+// embedding is memoised on the core.Encoding, so a repeat request skips
+// the embedder and samples the stored embedding. The span of the solve
+// records embedding=reused|computed.
 type annealBackend struct {
 	dev *anneal.Device
 }
@@ -108,11 +115,46 @@ func NewAnnealBackend(pegasusM int) Backend {
 
 func (b *annealBackend) Name() string { return "anneal" }
 
+// embedding returns the minor embedding of enc's QUBO at the request
+// seed and whether it came from the encoding's memo. A miss embeds
+// exactly as Device.SampleContext would, with no lock held (two
+// concurrent misses both embed and store the same embedding). The
+// embedder returns its best-so-far with a nil error when the context
+// ends, so an embedding is stored only if the context is still live
+// afterwards: a seed's answer must not depend on the deadline of the
+// request that embedded it first.
+func (b *annealBackend) embedding(ctx context.Context, enc *core.Encoding, seed int64) (emb *minorembed.Embedding, reused bool, err error) {
+	g, tries := b.dev.Graph, b.dev.EmbeddingTries
+	if emb := enc.Embedding(g, tries, seed); emb != nil {
+		return emb, true, nil
+	}
+	if emb, err = b.dev.EmbedOnlyContext(ctx, enc.QUBO, seed); err != nil {
+		return nil, false, err
+	}
+	if ctx.Err() == nil {
+		enc.SetEmbedding(g, tries, seed, emb)
+	}
+	return emb, false, nil
+}
+
+// embeddingAttr is the span value of the embedding decision.
+func embeddingAttr(reused bool) string {
+	if reused {
+		return "reused"
+	}
+	return "computed"
+}
+
 func (b *annealBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
 	reads := p.Reads
 	if reads <= 0 {
 		reads = 500
 	}
+	emb, reused, err := b.embedding(ctx, enc, p.Seed)
+	if err != nil {
+		return nil, err
+	}
+	obs.ActiveSpan(ctx).SetAttrStr("embedding", embeddingAttr(reused))
 	dev := b.dev
 	if len(p.InitialState) > 0 {
 		// Warm start: Device is shared across requests, so set the initial
@@ -124,39 +166,57 @@ func (b *annealBackend) Solve(ctx context.Context, enc *core.Encoding, p Params)
 		warm.InitialState = p.InitialState
 		dev = &warm
 	}
-	out, err := dev.SampleContext(ctx, enc.QUBO, reads, 20, p.Seed)
+	out, err := dev.SampleEmbeddedContext(ctx, enc.QUBO, emb, reads, 20, p.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return bestValid(enc, out.Assignments)
 }
 
-// SolveBatch implements BatchSolver: the whole batch runs through
+// SolveBatch implements BatchSolver: every instance takes its embedding
+// from the same memo as Solve, then the whole batch runs through
 // anneal.Device.SampleBatchContext in one array pass, sharing the ICE
 // perturbation scratch across each job's reads instead of allocating a
 // problem copy per read. Results are bit-identical to per-instance Solve.
+// The batch span records embedding=computed when any instance ran the
+// embedder, reused otherwise.
 func (b *annealBackend) SolveBatch(ctx context.Context, encs []*core.Encoding, ps []Params) ([]*core.Decoded, []error) {
-	jobs := make([]anneal.BatchJob, len(encs))
+	ds := make([]*core.Decoded, len(encs))
+	errs := make([]error, len(encs))
+	jobs := make([]anneal.BatchJob, 0, len(encs))
+	idx := make([]int, 0, len(encs))
+	allReused := true
 	for i, enc := range encs {
+		emb, reused, err := b.embedding(ctx, enc, ps[i].Seed)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		allReused = allReused && reused
 		reads := ps[i].Reads
 		if reads <= 0 {
 			reads = 500
 		}
-		jobs[i] = anneal.BatchJob{
+		jobs = append(jobs, anneal.BatchJob{
 			Q:                enc.QUBO,
 			Reads:            reads,
 			AnnealTimeMicros: 20,
 			Seed:             ps[i].Seed,
 			InitialState:     ps[i].InitialState,
-		}
+			Embedding:        emb,
+		})
+		idx = append(idx, i)
 	}
-	outs, errs := b.dev.SampleBatchContext(ctx, jobs)
-	ds := make([]*core.Decoded, len(encs))
-	for i := range encs {
-		if errs[i] != nil {
+	if len(jobs) == 0 {
+		return ds, errs
+	}
+	obs.ActiveSpan(ctx).SetAttrStr("embedding", embeddingAttr(allReused))
+	outs, jerrs := b.dev.SampleBatchContext(ctx, jobs)
+	for j, i := range idx {
+		if errs[i] = jerrs[j]; errs[i] != nil {
 			continue
 		}
-		ds[i], errs[i] = bestValid(encs[i], outs[i].Assignments)
+		ds[i], errs[i] = bestValid(encs[i], outs[j].Assignments)
 	}
 	return ds, errs
 }
