@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"quantumjoin/internal/join"
@@ -60,6 +60,21 @@ const dpPredictAfter = 1.0 / 16
 // of those 48.
 const dpSafety = 1.1
 
+// dpStepCost is the time per inner-loop iteration that the sweep assumes
+// before it has measured its own: 3 ns, the 20-relation chain's rate on a
+// 2-vCPU host (32 ms for n·2^(n−1) ≈ 10.5M iterations), about the lower
+// quartile of the rates measured over querygen.DeadlineStratified queries
+// at 16–20 relations (2.3–7.8 ns, median ~4.7). A sweep whose whole work at
+// this rate, padded by dpSafety, would finish after the deadline is not
+// started: 35 ms at 20 relations, so a 25 ms request never sweeps 20
+// relations. Whether a sweep starts is then a function of its size and
+// the time left. A sweep that fits only when the host runs fast would
+// otherwise decide by timing whether the encoding's optimum memo gets
+// filled, and with it how every later request on that encoding is served.
+// It is a variable only so that tests can turn it off and reach the
+// in-sweep prediction.
+var dpStepCost = 3 * time.Nanosecond
+
 // OptimalContext is Optimal under a context. The subset sweep polls the
 // context periodically, so cancellation interrupts the table fill. When
 // the context has a deadline the sweep also predicts its own finish from
@@ -67,8 +82,9 @@ const dpSafety = 1.1
 // gives up as soon as that finish (padded by dpSafety) falls after the
 // deadline, rather than spending the caller's whole budget on a plan it
 // cannot deliver. Either way the error wraps the context's error, or
-// context.DeadlineExceeded for a predicted overrun; a context that is
-// already done returns before any table is allocated.
+// context.DeadlineExceeded for a predicted overrun. A context that is
+// already done, or whose deadline leaves less than the sweep's work at
+// dpStepCost, returns before any table is allocated.
 func OptimalContext(ctx context.Context, q *join.Query) (Result, error) {
 	n := q.NumRelations()
 	if n < 2 {
@@ -83,6 +99,14 @@ func OptimalContext(ctx context.Context, q *join.Query) (Result, error) {
 	deadline, hasDeadline := ctx.Deadline()
 	if hasDeadline && !time.Now().Before(deadline) {
 		return Result{}, fmt.Errorf("classical: DP not started: %w", context.DeadlineExceeded)
+	}
+	// work is the sweep's inner-loop iteration count, Σ popcount(s).
+	work := float64(n) * float64(uint64(1)<<uint(n-1))
+	if hasDeadline {
+		if est := time.Duration(work * float64(dpStepCost) * dpSafety); time.Now().Add(est).After(deadline) {
+			return Result{}, fmt.Errorf("classical: DP not started: %d relations take ~%v, more than the %v left: %w",
+				n, est.Round(time.Microsecond), time.Until(deadline).Round(time.Microsecond), context.DeadlineExceeded)
+		}
 	}
 
 	// nbr[a] holds the relations joined to a by some predicate, sel[a*n+b]
@@ -100,12 +124,10 @@ func OptimalContext(ctx context.Context, q *join.Query) (Result, error) {
 	}
 
 	tables := getDPTables(n)
-	defer dpTablePools[n].Put(tables)
+	defer putDPTables(n, tables)
 	dp, card, last := tables.dp, tables.card, tables.last
 	size := uint64(len(dp))
 	card[0] = 1
-	// work is the sweep's inner-loop iteration count, Σ popcount(s).
-	work := float64(n) * float64(size/2)
 	start := time.Now()
 	for s := uint64(1); s < size; s++ {
 		if s&dpPollMask == 0 {
@@ -165,25 +187,44 @@ func OptimalContext(ctx context.Context, q *join.Query) (Result, error) {
 }
 
 // dpTables holds one sweep's tables. The sweep writes every entry it
-// reads, so a pooled set needs no clearing.
+// reads, so a reused set needs no clearing.
 type dpTables struct {
 	dp, card []float64
 	last     []int8
 }
 
-// dpTablePools keeps swept tables per relation count. A fresh 20-relation
-// set is 17 MiB that the kernel must fault in and the runtime zero before
-// the first poll: measured at 10–15 ms on a 2-vCPU VM, longer than a tight
-// deadline and invisible to the predictor. A pooled set is reused as is,
-// and the garbage collector still frees sets that stop being used.
-var dpTablePools [MaxDPRelations + 1]sync.Pool
+// dpRetainRelations is the largest relation count whose tables are kept
+// between sweeps: 17 MiB per set at 20 relations, ≤ 36 MiB over all sizes.
+// Above it every sweep allocates its own set and drops it afterwards, so
+// a 26-relation set (1.1 GiB) is never pinned.
+const dpRetainRelations = 20
+
+// dpTableSlots holds at most one idle table set per relation count. A
+// fresh 20-relation set is 17 MiB that the kernel must fault in and the
+// runtime zero before the first poll: measured at 10–15 ms on a 2-vCPU VM,
+// longer than a tight deadline and invisible to the predictor. A retained
+// set is reused as is, so that cost is paid once per process and size.
+// Unlike a sync.Pool, whose per-P private slots can pin one set per
+// processor and which drops idle sets at every other collection, a single
+// slot holds one set that no collection frees. Concurrent sweeps of one
+// size beyond the first allocate their own sets; the slot keeps one of
+// them.
+var dpTableSlots [dpRetainRelations + 1]atomic.Pointer[dpTables]
 
 func getDPTables(n int) *dpTables {
-	if t, ok := dpTablePools[n].Get().(*dpTables); ok {
-		return t
+	if n <= dpRetainRelations {
+		if t := dpTableSlots[n].Swap(nil); t != nil {
+			return t
+		}
 	}
 	size := 1 << uint(n)
 	return &dpTables{dp: make([]float64, size), card: make([]float64, size), last: make([]int8, size)}
+}
+
+func putDPTables(n int, t *dpTables) {
+	if n <= dpRetainRelations {
+		dpTableSlots[n].CompareAndSwap(nil, t)
+	}
 }
 
 // popcountPrefix returns Σ popcount(k) over 0 ≤ k < s: the inner-loop

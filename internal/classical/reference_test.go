@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -170,21 +172,46 @@ func TestPredictExpiredContext(t *testing.T) {
 	}
 }
 
-// TestPredictOverrunReturnsEarly: a 20-relation clique cannot be swept in
-// 5 ms, and the sweep must give up within deadline + 1 ms. One unbounded
-// sweep runs first, as in a serving process that has already swept this
-// size: a cold process also faults the 17 MiB tables in before the first
-// poll, which no deadline check can interrupt (see getDPTables). Under
-// race, sync.Pool drops a quarter of its Puts on purpose, so the warm-up
-// cannot promise the timed sweep its tables and the test is skipped. go
-// test runs packages in parallel, and a host saturated by another
-// package's tests can deschedule the sweep for milliseconds, so the timed
-// sweep gets five attempts; one that ignored the deadline would miss all
-// five by tens of milliseconds.
-func TestPredictOverrunReturnsEarly(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under race; the timed sweep may start cold")
+// TestPredictBeforeStart: a deadline that leaves less than the sweep's
+// work at dpStepCost returns at once with the context still live and the
+// idle tables untouched. 20 relations under 25 ms never start, however
+// fast the host runs.
+func TestPredictBeforeStart(t *testing.T) {
+	q := clique20(t)
+	if _, err := Optimal(q); err != nil {
+		t.Fatal(err)
 	}
+	kept := dpTableSlots[20].Load()
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := OptimalContext(ctx, q)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+		t.Fatalf("DP under a 25 ms deadline returned %v with context error %v, want a predicted overrun", err, ctx.Err())
+	}
+	if elapsed > time.Millisecond {
+		t.Errorf("DP under a 25 ms deadline took %v to give up, want an immediate return", elapsed)
+	}
+	if dpTableSlots[20].Load() != kept {
+		t.Error("a sweep that did not start took the idle tables")
+	}
+}
+
+// TestPredictOverrunReturnsEarly: a 20-relation clique cannot be swept in
+// 5 ms, and the sweep must give up within deadline + 1 ms. dpStepCost is
+// off, so the sweep starts and its in-sweep prediction must stop it. One
+// unbounded sweep runs first, as in a serving process that has already
+// swept this size: it leaves its tables in the idle slot, whereas a cold
+// process also faults the 17 MiB tables in before the first poll, which
+// no deadline check can interrupt (see dpTableSlots). go test runs
+// packages in parallel, and a host saturated by another package's tests
+// can deschedule the sweep for milliseconds, so the timed sweep gets five
+// attempts; one that ignored the deadline would miss all five by tens of
+// milliseconds.
+func TestPredictOverrunReturnsEarly(t *testing.T) {
+	defer func(c time.Duration) { dpStepCost = c }(dpStepCost)
+	dpStepCost = 0
 	q := clique20(t)
 	if _, err := Optimal(q); err != nil {
 		t.Fatal(err)
@@ -254,6 +281,91 @@ func BenchmarkOptimal(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestDPTablesSurviveGC: the tables of a 20-relation sweep stay in their
+// slot across collections, and the next sweep of that size reuses them.
+func TestDPTablesSurviveGC(t *testing.T) {
+	q := clique20(t)
+	if _, err := Optimal(q); err != nil {
+		t.Fatal(err)
+	}
+	kept := dpTableSlots[20].Load()
+	if kept == nil {
+		t.Fatal("a 20-relation sweep left no idle table set")
+	}
+	runtime.GC()
+	runtime.GC()
+	if dpTableSlots[20].Load() != kept {
+		t.Fatal("the idle 20-relation table set did not survive two collections")
+	}
+	if _, err := Optimal(q); err != nil {
+		t.Fatal(err)
+	}
+	if dpTableSlots[20].Load() != kept {
+		t.Fatal("the next 20-relation sweep did not reuse the idle table set")
+	}
+}
+
+// TestDPTablesNotRetainedAbove20: a set above dpRetainRelations is
+// dropped after its sweep, never kept for the next.
+func TestDPTablesNotRetainedAbove20(t *testing.T) {
+	const n = dpRetainRelations + 1
+	small := &dpTables{}
+	putDPTables(n, small)
+	got := getDPTables(n)
+	if got == small {
+		t.Fatalf("a %d-relation table set was retained", n)
+	}
+	if len(got.dp) != 1<<n || len(got.card) != 1<<n || len(got.last) != 1<<n {
+		t.Fatalf("fresh %d-relation set has tables of %d, %d, %d entries, want %d",
+			n, len(got.dp), len(got.card), len(got.last), 1<<n)
+	}
+}
+
+// TestDPTablesNeverShared: concurrent sweeps of one size each hold their
+// own table set — the slot hands its set to one of them — and each
+// returns the reference optimum of its own query.
+func TestDPTablesNeverShared(t *testing.T) {
+	const n, sweeps = 14, 4
+	first, second := getDPTables(n), getDPTables(n)
+	if first == second {
+		t.Fatal("two gets without a put returned the same table set")
+	}
+	putDPTables(n, first)
+	putDPTables(n, second)
+	if got := getDPTables(n); got != first {
+		t.Fatal("the slot did not keep the first idle set")
+	}
+	if got := getDPTables(n); got == first {
+		t.Fatal("the slot handed its set out twice")
+	}
+
+	queries := make([]*join.Query, sweeps)
+	for i := range queries {
+		queries[i] = randomQuery(rand.New(rand.NewSource(int64(40+i))), n)
+	}
+	results := make([]Result, sweeps)
+	errs := make([]error, sweeps)
+	var wg sync.WaitGroup
+	for i := range queries {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < 3 && errs[i] == nil; k++ {
+				results[i], errs[i] = Optimal(queries[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, q := range queries {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if want := optimalRef(q); !relClose(results[i].Cost, want.Cost, 1e-12) || !results[i].Order.IsPermutation(n) {
+			t.Errorf("sweep %d: order %v cost %v, reference %v", i, results[i].Order, results[i].Cost, want.Cost)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"quantumjoin/internal/classical"
@@ -142,12 +141,9 @@ type Encoding struct {
 	tii [][]int // tii[t][j] -> variable index
 	tio [][]int // tio[t][j] -> variable index
 
-	// Cached classical optimum of Query (see Optimal in decode.go).
-	optOnce sync.Once
-	optRes  classical.Result
-	optErr  error
-
-	// Memoised minor embedding of QUBO (see Embedding).
+	// Memoised classical optimum of Query (see OptimalContext in
+	// decode.go) and minor embedding of QUBO (see Embedding).
+	optPtr atomic.Pointer[classical.Result]
 	embPtr atomic.Pointer[embeddingMemo]
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -276,17 +277,34 @@ func (dec *Decoder) BestValidInto(e *Encoding, samples [][]bool, best *Decoded) 
 	return valid, ok
 }
 
-// Optimal returns the classical DP optimum of the encoded query, computed
-// at most once per encoding and cached for its lifetime. An encoding held
-// in the service's LRU cache therefore pays for the exponential DP once
-// per query shape, not once per request; since plan costs are invariant
-// under relation relabelling, the cached cost is also the optimum of every
-// query that canonicalises to this encoding.
+// Optimal is OptimalContext without a deadline.
 func (e *Encoding) Optimal() (classical.Result, error) {
-	e.optOnce.Do(func() {
-		e.optRes, e.optErr = classical.Optimal(e.Query)
-	})
-	return e.optRes, e.optErr
+	res, _, err := e.OptimalContext(context.Background())
+	return res, err
+}
+
+// OptimalContext returns the classical DP optimum of the encoded query
+// and whether it came from the encoding's memo. An encoding held in the
+// service's LRU cache therefore pays for the exponential DP once per query
+// shape, not once per request, and an evicted encoding drops its optimum
+// with it; since plan costs are invariant under relation relabelling, the
+// memoised cost is also the optimum of every query that canonicalises to
+// this encoding. A hit returns the stored result whatever ctx's state. A
+// miss sweeps under ctx with no lock held (two concurrent misses both
+// sweep and store the same result) and stores the result only when the
+// sweep completed: the sweep errors whenever it was cut short, by
+// cancellation, by the deadline or by a predicted overrun, so the memo
+// never depends on the deadline of the request that filled it. Every
+// caller gets its own copy of the order.
+func (e *Encoding) OptimalContext(ctx context.Context) (res classical.Result, reused bool, err error) {
+	if m := e.optPtr.Load(); m != nil {
+		return classical.Result{Order: append(join.Order(nil), m.Order...), Cost: m.Cost}, true, nil
+	}
+	if res, err = classical.OptimalContext(ctx, e.Query); err != nil {
+		return classical.Result{}, false, err
+	}
+	e.optPtr.Store(&classical.Result{Order: append(join.Order(nil), res.Order...), Cost: res.Cost})
+	return res, false, nil
 }
 
 // IsOptimal reports whether a decoded solution attains the classical

@@ -170,6 +170,77 @@ func TestEarlyExitNeedsDPProof(t *testing.T) {
 	}
 }
 
+// TestEarlyExitOnWarmEncoding: the dp backend memoises a complete
+// sweep's optimum on the encoding, so a request on a warm encoding ends at
+// stage 1 with the DP optimum under a deadline on which a cold sweep
+// predicts an overrun. The deadline is a quarter of a measured sweep, so
+// the cold sweep predicts the overrun before it starts or after a
+// sixteenth of the work. The classical.dp span says whether the optimum
+// was computed or reused.
+func TestEarlyExitOnWarmEncoding(t *testing.T) {
+	b, slow := earlyExitSetup(t, Config{HedgeDelay: time.Millisecond}, service.NewGreedyBackend(), service.NewDPBackend())
+	q, enc := cliqueInstance(t, 20, 26)
+	start := time.Now()
+	if _, err := classical.Optimal(q); err != nil {
+		t.Fatal(err)
+	}
+	tight := time.Since(start) / 4
+	tracer := obs.NewTracer(obs.Options{Capacity: 8, SampleRate: 1})
+	orchestrate := func(deadline time.Duration) (*Outcome, obs.TraceSnapshot) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(obs.NewContext(context.Background(), tracer), deadline)
+		defer cancel()
+		ctx, root := tracer.Start(ctx, "test-root")
+		out, err := b.Orchestrate(ctx, enc, service.Params{Seed: 26})
+		root.End(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, ok := tracer.Find(root.TraceID())
+		if !ok {
+			t.Fatal("trace was not stored despite SampleRate 1")
+		}
+		return out, trace
+	}
+	optimum := func(trace obs.TraceSnapshot) any {
+		t.Helper()
+		sp := findSpan(&trace.Root, "classical.dp")
+		if sp == nil {
+			t.Fatal("trace has no classical.dp span")
+		}
+		return sp.Attrs["optimum"]
+	}
+
+	_, trace := orchestrate(tight)
+	if got := trace.Root.Attrs["hybrid_dp"]; got != "predicted_overrun" {
+		t.Fatalf("cold encoding under %v: hybrid_dp = %v, want predicted_overrun", tight, got)
+	}
+	if got := optimum(trace); got != nil {
+		t.Errorf("cold encoding under %v: optimum = %v on a sweep that gave up", tight, got)
+	}
+	out, trace := orchestrate(10 * time.Second)
+	if got := optimum(trace); got != "computed" {
+		t.Errorf("unhurried request: optimum = %v, want computed", got)
+	}
+	assertOptimal(t, q, out)
+	calls := slow.calls.Load()
+
+	out, trace = orchestrate(tight)
+	if got := trace.Root.Attrs["hybrid_dp"]; got != "optimal" {
+		t.Errorf("warm encoding under %v: hybrid_dp = %v, want optimal", tight, got)
+	}
+	if got := trace.Root.Attrs["hybrid_stage2"]; got != "skipped_dp_optimal" {
+		t.Errorf("warm encoding under %v: hybrid_stage2 = %v, want skipped_dp_optimal", tight, got)
+	}
+	if got := optimum(trace); got != "reused" {
+		t.Errorf("warm encoding: optimum = %v, want reused", got)
+	}
+	if n := slow.calls.Load() - calls; n != 0 {
+		t.Errorf("warm encoding: portfolio Solve called %d times, want 0", n)
+	}
+	assertOptimal(t, q, out)
+}
+
 // TestEarlyExitDeadlineStratified is the deadline property at the
 // DP-sized end of the shared mixed-deadline workload: every staged answer
 // is optimal and arrives within its deadline plus epsilon, the slack left
@@ -221,8 +292,9 @@ func TestEarlyExitDeadlineStratified(t *testing.T) {
 //
 // Tight (25 ms) requests cannot fit the sweep, so the predictor drops it.
 // go test runs packages in parallel, so the host may be saturated by
-// another package's tests; a request that breaks the property is re-run,
-// up to three attempts, and fails the test only if every attempt does.
+// another package's tests; a request that breaks the property is re-run
+// on a fresh encoding, up to three attempts, and fails the test only if
+// every attempt does.
 func TestEarlyExitDeadlineStratified20(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the Pegasus M=6 annealer and sweeps 16 20-relation DPs")
@@ -242,10 +314,6 @@ func TestEarlyExitDeadlineStratified20(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	for _, it := range items {
-		enc, err := core.Encode(it.Query, core.Options{Thresholds: core.DefaultThresholds(it.Query, 2)})
-		if err != nil {
-			t.Fatal(err)
-		}
 		greedy := classical.Greedy(it.Query).Cost
 		opt, err := classical.Optimal(it.Query)
 		if err != nil {
@@ -253,6 +321,13 @@ func TestEarlyExitDeadlineStratified20(t *testing.T) {
 		}
 		var problems []string
 		for a := 1; a <= attempts; a++ {
+			// A fresh encoding per attempt: the dp backend memoises a
+			// completed sweep on the encoding, and a re-run must sweep
+			// cold as the first attempt did.
+			enc, err := core.Encode(it.Query, core.Options{Thresholds: core.DefaultThresholds(it.Query, 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
 			start := time.Now()
 			ctx, cancel := context.WithTimeout(context.Background(), it.Deadline)
 			out, err := b.Orchestrate(ctx, enc, service.Params{Seed: it.Seed})

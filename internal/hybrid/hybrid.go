@@ -63,10 +63,15 @@ type Config struct {
 	HedgeDelay time.Duration
 	// MaxDPRelations caps the instance size for the classical stage's DP
 	// pass (default 20: a sweep of ~40–90 ms and 17 MiB of tables on a
-	// 2-vCPU host). The pass polls the context every 1024 subsets and
-	// drops the sweep as soon as it predicts a finish past the deadline,
-	// so the deadline bounds its time either way; the gate bounds the
-	// 17·2^n bytes of tables.
+	// 2-vCPU host). The pass does not start when the deadline leaves less
+	// than its work at a fixed per-iteration cost (35 ms at 20
+	// relations), polls the context every 1024 subsets and drops the
+	// sweep as soon as it predicts a finish past the deadline, so the
+	// deadline bounds its time either way; the gate bounds the
+	// 17·2^n bytes of tables. The dp backend memoises a completed sweep's
+	// optimum on the cached encoding, so a repeat request on that
+	// encoding gets the optimum without a sweep, also under a deadline
+	// on which a cold sweep would predict an overrun.
 	MaxDPRelations int
 }
 

@@ -16,7 +16,10 @@ import (
 // drops its sweep once it predicts a finish past the deadline (so a tight
 // deadline degrades the stage to greedy quality rather than blowing the
 // budget), and is additionally gated on instance size
-// (Config.MaxDPRelations) to bound the 2^T table memory.
+// (Config.MaxDPRelations) to bound the 2^T table memory. The dp backend
+// reads the optimum memoised on the encoding, so only the first complete
+// sweep per cached encoding costs time; its span records
+// optimum=reused|computed.
 var classicalStage = []string{"greedy", "dp"}
 
 // dpDecision says why DP did or did not decide a request's plan; it is

@@ -137,8 +137,9 @@ func (b *annealBackend) embedding(ctx context.Context, enc *core.Encoding, seed 
 	return emb, false, nil
 }
 
-// embeddingAttr is the span value of the embedding decision.
-func embeddingAttr(reused bool) string {
+// reusedAttr is the span value of a memo decision: the embedding or the
+// optimum came from the encoding's memo, or was computed.
+func reusedAttr(reused bool) string {
 	if reused {
 		return "reused"
 	}
@@ -154,7 +155,7 @@ func (b *annealBackend) Solve(ctx context.Context, enc *core.Encoding, p Params)
 	if err != nil {
 		return nil, err
 	}
-	obs.ActiveSpan(ctx).SetAttrStr("embedding", embeddingAttr(reused))
+	obs.ActiveSpan(ctx).SetAttrStr("embedding", reusedAttr(reused))
 	dev := b.dev
 	if len(p.InitialState) > 0 {
 		// Warm start: Device is shared across requests, so set the initial
@@ -210,7 +211,7 @@ func (b *annealBackend) SolveBatch(ctx context.Context, encs []*core.Encoding, p
 	if len(jobs) == 0 {
 		return ds, errs
 	}
-	obs.ActiveSpan(ctx).SetAttrStr("embedding", embeddingAttr(allReused))
+	obs.ActiveSpan(ctx).SetAttrStr("embedding", reusedAttr(allReused))
 	outs, jerrs := b.dev.SampleBatchContext(ctx, jobs)
 	for j, i := range idx {
 		if errs[i] = jerrs[j]; errs[i] != nil {
@@ -390,6 +391,9 @@ func (milpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*co
 }
 
 // dpBackend is the exact classical baseline: DP over relation subsets.
+// The optimum is memoised on the core.Encoding, so a cached encoding is
+// swept once, not once per request; the span of the solve records
+// optimum=reused|computed.
 type dpBackend struct{}
 
 // NewDPBackend builds the exact dynamic-programming backend.
@@ -400,10 +404,11 @@ func (dpBackend) Name() string { return "dp" }
 func (dpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
 	// The subset sweep polls the context, so a request deadline interrupts
 	// the table fill on large instances instead of blowing the budget.
-	res, err := classical.OptimalContext(ctx, enc.Query)
+	res, reused, err := enc.OptimalContext(ctx)
 	if err != nil {
 		return nil, err
 	}
+	obs.ActiveSpan(ctx).SetAttrStr("optimum", reusedAttr(reused))
 	return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, nil
 }
 

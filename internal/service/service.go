@@ -386,7 +386,7 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 			return err
 		}
 		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, enc.Query)
+		d, producer = s.fallback(fbCtx, enc.Query, enc)
 		fbSpan.SetAttrStr("fallback", producer)
 		fbSpan.End(nil)
 		degraded, reason = true, err.Error()
@@ -435,7 +435,9 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 		// The optimum of the canonical instance, computed once per cached
 		// encoding (plan costs are invariant under relation relabelling),
 		// replaces the per-request DP solve this comparison used to cost.
-		if opt, err := enc.Optimal(); err == nil {
+		// A sweep the request's deadline cuts short skips the comparison
+		// and leaves the memo empty.
+		if opt, _, err := enc.OptimalContext(ctx); err == nil {
 			resp.OptimalCost = opt.Cost
 			resp.Optimal = resp.Cost <= opt.Cost*(1+1e-9)+1e-12
 		}
@@ -476,10 +478,19 @@ func vetDecoded(n int, backend string, d *core.Decoded) error {
 // once the deadline has passed), the greedy plan otherwise. Greedy is pure
 // microsecond-scale compute and needs no context, so it succeeds even when
 // the deadline is already blown — the degraded answer is always available.
-func (s *Service) fallback(ctx context.Context, q *join.Query) (*core.Decoded, string) {
+// enc, when not nil, is q's encoding: the DP plan then comes from its
+// optimum memo, without a sweep when the optimum is already stored.
+func (s *Service) fallback(ctx context.Context, q *join.Query, enc *core.Encoding) (*core.Decoded, string) {
 	n := q.NumRelations()
 	if s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		if res, err := classical.OptimalContext(ctx, q); err == nil {
+		var res classical.Result
+		var err error
+		if enc != nil {
+			res, _, err = enc.OptimalContext(ctx)
+		} else {
+			res, err = classical.OptimalContext(ctx, q)
+		}
+		if err == nil {
 			return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, "dp"
 		}
 	}
@@ -520,7 +531,7 @@ func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req 
 			return err
 		}
 		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, req.Query)
+		d, producer = s.fallback(fbCtx, req.Query, nil)
 		fbSpan.SetAttrStr("fallback", producer)
 		fbSpan.End(nil)
 		degraded, reason = true, err.Error()

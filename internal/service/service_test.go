@@ -355,7 +355,7 @@ func TestFallbackLetsTheSweepDecide(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
-	d, producer := svc.fallback(ctx, q)
+	d, producer := svc.fallback(ctx, q, nil)
 	cancel()
 	if producer != "dp" || d.Cost != opt.Cost {
 		t.Errorf("8 ms left: fallback %s with cost %v, want dp with the optimum %v", producer, d.Cost, opt.Cost)
@@ -363,7 +363,7 @@ func TestFallbackLetsTheSweepDecide(t *testing.T) {
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	d, producer = svc.fallback(expired, q)
+	d, producer = svc.fallback(expired, q, nil)
 	if greedy := classical.Greedy(q); producer != "greedy" || d.Cost != greedy.Cost {
 		t.Errorf("deadline passed: fallback %s with cost %v, want greedy's %v", producer, d.Cost, greedy.Cost)
 	}
