@@ -60,7 +60,7 @@ type RatePoint struct {
 	Availability float64 `json:"availability"` // HTTP 200 fraction
 	InvalidPlans int     `json:"invalid_plans"`
 	Degraded     int     `json:"degraded"`
-	// Counters pulled from /metrics.json after the run.
+	// Counters read from the service's metrics snapshot after the run.
 	Retries      int64 `json:"retries"`
 	Faults       int64 `json:"faults"`
 	BreakerTrips int64 `json:"breaker_trips"`
@@ -277,11 +277,8 @@ func runPoint(backend string, queries []json.RawMessage, rate float64, requests,
 	point.P95Ms = percentile(latencies, 0.95)
 
 	// Server-side counters: retries, injected faults, sheds, and breaker
-	// trips, scraped from /metrics.json like an operator would.
-	var snap service.Snapshot
-	if err := getJSON(client, srv.URL+"/metrics.json", &snap); err != nil {
-		return RatePoint{}, err
-	}
+	// trips.
+	snap := svc.MetricsSnapshot()
 	point.Shed = snap.Requests.Shed
 	for _, b := range snap.Backends {
 		point.Retries += b.Retries
@@ -383,15 +380,6 @@ func catalogJSON(q *join.Query) (json.RawMessage, error) {
 		})
 	}
 	return json.Marshal(doc)
-}
-
-func getJSON(client *http.Client, url string, v any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 func percentile(xs []float64, p float64) float64 {

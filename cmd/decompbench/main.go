@@ -4,14 +4,12 @@
 // records the decomposed plan's true cost next to the greedy plan, the DP
 // optimum (where the instance fits the DP limit), and the monolithic
 // encoder's verdict — which above core.MaxMonolithicRelations is a hard
-// rejection, the infeasibility decomposition exists to get past. A compact
-// section pins the per-part encoding win: standard versus compact qubit
-// counts with the MILP optima checked identical.
+// rejection, the infeasibility decomposition exists to get past.
 //
 // Results go to a JSON file (default BENCH_decomp.json). With
 // -max-dp-ratio > 0 the command exits non-zero when any decomp/DP cost
-// ratio exceeds the bound (or a compact optimum diverges), which is how CI
-// gates decomposition quality; -smoke shrinks the matrix for that gate.
+// ratio exceeds the bound, which is how CI gates decomposition quality;
+// -smoke shrinks the matrix for that gate.
 package main
 
 import (
@@ -21,7 +19,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"time"
 
 	"quantumjoin/internal/classical"
@@ -38,11 +38,10 @@ type Case struct {
 	Relations int    `json:"relations"`
 	Seed      int64  `json:"seed"`
 
-	Parts         int     `json:"parts"`
-	CutEdges      int     `json:"cut_edges"`
-	LogicalQubits int     `json:"logical_qubits"`
-	DecompCost    float64 `json:"decomp_cost"`
-	DecompMs      float64 `json:"decomp_ms"`
+	Parts      int     `json:"parts"`
+	CutEdges   int     `json:"cut_edges"`
+	DecompCost float64 `json:"decomp_cost"`
+	DecompMs   float64 `json:"decomp_ms"`
 
 	GreedyCost    float64 `json:"greedy_cost"`
 	RatioVsGreedy float64 `json:"ratio_vs_greedy"`
@@ -59,72 +58,41 @@ type Case struct {
 	MonolithicError  string `json:"monolithic_error,omitempty"`
 }
 
-// CompactCase compares the standard and compact encodings on one small
-// instance where the MILP optimum is checkable.
-type CompactCase struct {
-	Graph             string `json:"graph"`
-	Relations         int    `json:"relations"`
-	StandardQubits    int    `json:"standard_qubits"`
-	CompactQubits     int    `json:"compact_qubits"`
-	SavedDecisionVars int    `json:"saved_decision_vars"`
-	// OptimaMatch is true when both encodings' MILP optima agree on the
-	// threshold-approximated objective (bit-identical optimum value).
-	OptimaMatch bool `json:"optima_match"`
-}
-
-// Report is the emitted JSON document.
+// Report is the emitted JSON document. Commit is the checkout's HEAD
+// ("none" outside a git work tree); Dirty reports uncommitted changes on
+// top of it.
 type Report struct {
-	GoMaxProcs     int           `json:"go_max_procs"`
-	NumCPU         int           `json:"num_cpu"`
-	GoVersion      string        `json:"go_version"`
-	PartBudget     int           `json:"part_budget"`
-	Subsolver      string        `json:"subsolver"`
-	Reads          int           `json:"reads"`
-	MaxDPRelations int           `json:"max_dp_relations"`
-	WorstDPRatio   float64       `json:"worst_dp_ratio"`
-	Cases          []Case        `json:"cases"`
-	Compact        []CompactCase `json:"compact"`
+	Commit         string  `json:"commit"`
+	Dirty          bool    `json:"dirty"`
+	GoMaxProcs     int     `json:"go_max_procs"`
+	NumCPU         int     `json:"num_cpu"`
+	GoVersion      string  `json:"go_version"`
+	PartBudget     int     `json:"part_budget"`
+	MaxDPRelations int     `json:"max_dp_relations"`
+	WorstDPRatio   float64 `json:"worst_dp_ratio"`
+	Cases          []Case  `json:"cases"`
 }
 
 func main() {
 	out := flag.String("o", "BENCH_decomp.json", "output file")
 	samples := flag.Int("samples", 2, "seeds per (graph, size) point")
-	reads := flag.Int("reads", 6, "sampling budget per part subsolve")
 	budget := flag.Int("part-budget", 10, "relations per partition part")
-	subsolver := flag.String("subsolver", "tabu", "named part subsolver (deterministic for a fixed seed)")
 	dpLimit := flag.Int("dp-limit", 24, "largest instance to compute the DP optimum for (runtime guard; hard cap classical.MaxDPRelations)")
 	maxDPRatio := flag.Float64("max-dp-ratio", 0, "exit non-zero when any decomp/DP cost ratio exceeds this (0 disables the gate)")
 	smoke := flag.Bool("smoke", false, "shrink the matrix to a seconds-scale CI smoke run")
 	flag.Parse()
 
+	commit, dirty := gitHead()
 	rep := Report{
+		Commit:         commit,
+		Dirty:          dirty,
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 		NumCPU:         runtime.NumCPU(),
 		GoVersion:      runtime.Version(),
 		PartBudget:     *budget,
-		Subsolver:      *subsolver,
-		Reads:          *reads,
 		MaxDPRelations: classical.MaxDPRelations,
 	}
-
-	reg := service.NewRegistry()
-	for _, b := range []service.Backend{
-		service.NewGreedyBackend(),
-		service.NewDPBackend(),
-		service.NewTabuBackend(),
-	} {
-		if err := reg.Register(b); err != nil {
-			fail(err)
-		}
-	}
-	db, err := decomp.New(decomp.Config{
-		Registry:   reg,
-		PartBudget: *budget,
-		Subsolver:  *subsolver,
-	})
-	if err != nil {
-		fail(err)
-	}
+	db := decomp.New(*budget)
 
 	graphs := []struct {
 		name string
@@ -136,11 +104,9 @@ func main() {
 		{"tree", querygen.Tree},
 	}
 	sizes := []int{20, 24, 34, 40, 50, 60}
-	compactSizes := []int{5, 7, 9}
 	if *smoke {
 		graphs = graphs[:2]
 		sizes = []int{20, 40}
-		compactSizes = []int{5}
 		if *samples > 1 {
 			*samples = 1
 		}
@@ -149,26 +115,14 @@ func main() {
 	for _, gr := range graphs {
 		for _, n := range sizes {
 			for s := 1; s <= *samples; s++ {
-				c := runCase(db, gr.name, gr.g, n, int64(s), *dpLimit, *reads, *budget)
+				c := runCase(db, gr.name, gr.g, n, int64(s), *dpLimit, *budget)
 				rep.Cases = append(rep.Cases, c)
 				if c.RatioVsDP > rep.WorstDPRatio {
 					rep.WorstDPRatio = c.RatioVsDP
 				}
-				fmt.Printf("%-6s n=%2d seed=%d: parts %2d, qubits %4d, cost ratio greedy %.3f dp %.3f (%.0fms)\n",
-					c.Graph, c.Relations, c.Seed, c.Parts, c.LogicalQubits,
-					c.RatioVsGreedy, c.RatioVsDP, c.DecompMs)
+				fmt.Printf("%-6s n=%2d seed=%d: parts %2d, cost ratio greedy %.3f dp %.3f (%.1fms)\n",
+					c.Graph, c.Relations, c.Seed, c.Parts, c.RatioVsGreedy, c.RatioVsDP, c.DecompMs)
 			}
-		}
-	}
-
-	compactOK := true
-	for _, gr := range graphs {
-		for _, n := range compactSizes {
-			cc := compactCase(gr.name, gr.g, n)
-			rep.Compact = append(rep.Compact, cc)
-			compactOK = compactOK && cc.OptimaMatch
-			fmt.Printf("compact %-6s n=%d: qubits %d -> %d (saved %d decision vars), optima match %v\n",
-				cc.Graph, cc.Relations, cc.StandardQubits, cc.CompactQubits, cc.SavedDecisionVars, cc.OptimaMatch)
 		}
 	}
 
@@ -186,13 +140,8 @@ func main() {
 	}
 	fmt.Printf("wrote %s (worst decomp/dp ratio %.3f)\n", *out, rep.WorstDPRatio)
 
-	if *maxDPRatio > 0 {
-		if rep.WorstDPRatio > *maxDPRatio {
-			fail(fmt.Errorf("gate: worst decomp/dp cost ratio %.3f exceeds bound %.3f", rep.WorstDPRatio, *maxDPRatio))
-		}
-		if !compactOK {
-			fail(fmt.Errorf("gate: compact encoding optimum diverged from standard"))
-		}
+	if *maxDPRatio > 0 && rep.WorstDPRatio > *maxDPRatio {
+		fail(fmt.Errorf("gate: worst decomp/dp cost ratio %.3f exceeds bound %.3f", rep.WorstDPRatio, *maxDPRatio))
 	}
 }
 
@@ -212,7 +161,7 @@ func instance(g querygen.GraphType, n int, seed int64) *join.Query {
 	return q
 }
 
-func runCase(db *decomp.Backend, name string, g querygen.GraphType, n int, seed int64, dpLimit, reads, budget int) Case {
+func runCase(db *decomp.Backend, name string, g querygen.GraphType, n int, seed int64, dpLimit, budget int) Case {
 	q := instance(g, n, seed)
 	c := Case{Graph: name, Relations: n, Seed: seed}
 
@@ -223,16 +172,15 @@ func runCase(db *decomp.Backend, name string, g querygen.GraphType, n int, seed 
 	}
 
 	start := time.Now()
-	res, err := db.SolveQuery(context.Background(), q, service.EncodeSpec{}, service.Params{Reads: reads, Seed: seed})
+	d, err := db.SolveQuery(context.Background(), q, service.Params{Seed: seed})
 	c.DecompMs = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
 		fail(fmt.Errorf("%s n=%d seed=%d: %w", name, n, seed, err))
 	}
-	if !res.Decoded.Order.IsPermutation(n) {
+	if !d.Order.IsPermutation(n) {
 		fail(fmt.Errorf("%s n=%d seed=%d: decomposed order is not a permutation", name, n, seed))
 	}
-	c.DecompCost = res.Decoded.Cost
-	c.LogicalQubits = res.LogicalQubits
+	c.DecompCost = d.Cost
 
 	c.GreedyCost = classical.Greedy(q).Cost
 	if c.GreedyCost > 0 {
@@ -257,44 +205,15 @@ func runCase(db *decomp.Backend, name string, g querygen.GraphType, n int, seed 
 	return c
 }
 
-// compactCase encodes one small instance both ways and solves both MILPs to
-// the optimum; the threshold-approximated optimum values must be identical.
-func compactCase(name string, g querygen.GraphType, n int) CompactCase {
-	q := instance(g, n, int64(n))
-	th := core.DefaultThresholds(q, 3)
-	std, err := core.Encode(q, core.Options{Thresholds: th})
+// gitHead returns the checkout's HEAD commit and whether the work tree
+// has uncommitted changes; outside a git work tree it returns "none".
+func gitHead() (string, bool) {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
-		fail(err)
+		return "none", false
 	}
-	cmp, err := core.Encode(q, core.Options{Thresholds: th, Compact: true})
-	if err != nil {
-		fail(err)
-	}
-	cc := CompactCase{
-		Graph:             name,
-		Relations:         n,
-		StandardQubits:    std.NumQubits(),
-		CompactQubits:     cmp.NumQubits(),
-		SavedDecisionVars: std.NumDecisionVars() - cmp.NumDecisionVars(),
-	}
-	ds, err := std.SolveMILP()
-	if err != nil {
-		fail(err)
-	}
-	dc, err := cmp.SolveMILP()
-	if err != nil {
-		fail(err)
-	}
-	as, err := std.ApproxCost(ds.Order)
-	if err != nil {
-		fail(err)
-	}
-	ac, err := cmp.ApproxCost(dc.Order)
-	if err != nil {
-		fail(err)
-	}
-	cc.OptimaMatch = ds.Valid && dc.Valid && as == ac
-	return cc
+	status, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output()
+	return strings.TrimSpace(string(out)), err != nil || len(status) > 0
 }
 
 func fail(err error) {

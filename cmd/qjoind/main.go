@@ -5,10 +5,9 @@
 // the classical DP/greedy baselines, the hybrid orchestrator (which
 // races or stages the other backends under the request deadline and
 // arbitrates by true plan cost), or the decomposition backend (which
-// partitions join graphs past the monolithic encoding limit into
-// QUBO-sized parts, solves each on the portfolio, and stitches the
-// per-part orders classically) — under bounded concurrency and
-// per-request deadlines.
+// partitions join graphs past the monolithic encoding limit into parts,
+// plans each part by exact DP, and stitches the per-part orders
+// classically) — under bounded concurrency and per-request deadlines.
 //
 // Endpoints:
 //
@@ -20,7 +19,6 @@
 //	                      (only with -self/-peers)
 //	GET  /metrics       — Prometheus text exposition of all counters,
 //	                      latency histograms, cache and breaker state
-//	GET  /metrics.json  — the same observability state as one JSON document
 //	GET  /debug/traces  — recent request traces (?id=, ?format=flame)
 //	GET  /debug/pprof/* — runtime profiles (only with -pprof)
 //	GET  /healthz       — liveness probe with per-backend breaker health
@@ -100,8 +98,6 @@ func main() {
 	hybridPortfolio := flag.String("hybrid-portfolio", "anneal,tabu,qaoa", "default hybrid portfolio (comma-separated backend names)")
 	hybridHedge := flag.Duration("hybrid-hedge", 25*time.Millisecond, "default hedge delay before the hybrid quantum stage")
 	decompBudget := flag.Int("decomp-part-budget", 12, "decomp: default relations per partition part (requests override with part_budget)")
-	decompSubsolver := flag.String("decomp-subsolver", "", "decomp: solve every part on this named backend instead of hybrid orchestration")
-	decompStandard := flag.Bool("decomp-standard-parts", false, "decomp: encode parts with the standard (non-compact) QUBO encoding")
 	grace := flag.Duration("grace", 30*time.Second, "graceful shutdown budget")
 	shed := flag.Bool("shed", true, "reject with 503 + Retry-After when the request queue is full (false = block until deadline)")
 	degrade := flag.Bool("degrade", true, "answer with the classical planner (degraded: true) when the selected backend fails")
@@ -224,23 +220,10 @@ func main() {
 	}
 
 	// The decomposition backend scales past the monolithic encoding limit:
-	// it partitions the join graph into QUBO-sized parts, solves each part
-	// on the portfolio (or a single named subsolver), and stitches the
-	// per-part orders classically. Like hybrid, it sits on top of the
-	// registry and registers last.
-	db, err := decomp.New(decomp.Config{
-		Registry:      reg,
-		Metrics:       svc.Metrics(),
-		PartBudget:    *decompBudget,
-		Subsolver:     *decompSubsolver,
-		Portfolio:     splitList(*hybridPortfolio),
-		HedgeDelay:    *hybridHedge,
-		StandardParts: *decompStandard,
-	})
-	if err != nil {
-		fail(fmt.Errorf("qjoind: %w", err))
-	}
-	if err := reg.Register(db); err != nil {
+	// it partitions the join graph into parts of at most the part budget,
+	// plans each part by exact DP, and stitches the per-part orders
+	// classically. It builds no QUBO.
+	if err := reg.Register(decomp.New(*decompBudget)); err != nil {
 		fail(fmt.Errorf("qjoind: %w", err))
 	}
 

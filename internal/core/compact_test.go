@@ -59,72 +59,90 @@ func TestCompactVariableReduction(t *testing.T) {
 // must reach the same optimum as over the standard MILP, and both must
 // equal the classical DP optimum — the decoded orders cost bit-identically.
 func TestCompactMILPOptimumMatchesStandardAndDP(t *testing.T) {
+	gen := func(n int, g querygen.GraphType, rng *rand.Rand) *join.Query {
+		q, err := querygen.Generate(querygen.Config{
+			Relations: n, Graph: g, IntegerLog: true,
+			MinLogCard: 1, MaxLogCard: 3, MinLogSel: 1, MaxLogSel: 2,
+		}, rng)
+		if err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+		return q
+	}
+	type instance struct {
+		n int
+		g querygen.GraphType
+		q *join.Query
+	}
+	var cases []instance
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{4, 5} {
 		for g := querygen.GraphType(0); g < 4; g++ {
-			q, err := querygen.Generate(querygen.Config{
-				Relations: n, Graph: g, IntegerLog: true,
-				MinLogCard: 1, MaxLogCard: 3, MinLogSel: 1, MaxLogSel: 2,
-			}, rng)
-			if err != nil {
-				t.Fatalf("generate: %v", err)
-			}
-			std, cmp := compactPair(t, q, 3)
-			ds, err := std.SolveMILP()
-			if err != nil {
-				t.Fatalf("standard MILP solve: %v", err)
-			}
-			dc, err := cmp.SolveMILP()
-			if err != nil {
-				t.Fatalf("compact MILP solve: %v", err)
-			}
-			if !ds.Valid || !dc.Valid {
-				t.Fatalf("n=%d %v: MILP solutions not valid (std %v, compact %v)", n, g, ds.Valid, dc.Valid)
-			}
-			as, err := std.ApproxCost(ds.Order)
+			cases = append(cases, instance{n, g, gen(n, g, rng)})
+		}
+	}
+	// Plus the 5-relation chain and star drawn from a fresh seed-5
+	// generator each: the instances CI gates the compact encoding on.
+	for _, g := range []querygen.GraphType{querygen.Chain, querygen.Star} {
+		cases = append(cases, instance{5, g, gen(5, g, rand.New(rand.NewSource(5)))})
+	}
+	for _, c := range cases {
+		n, g, q := c.n, c.g, c.q
+		std, cmp := compactPair(t, q, 3)
+		ds, err := std.SolveMILP()
+		if err != nil {
+			t.Fatalf("standard MILP solve: %v", err)
+		}
+		dc, err := cmp.SolveMILP()
+		if err != nil {
+			t.Fatalf("compact MILP solve: %v", err)
+		}
+		if !ds.Valid || !dc.Valid {
+			t.Fatalf("n=%d %v: MILP solutions not valid (std %v, compact %v)", n, g, ds.Valid, dc.Valid)
+		}
+		as, err := std.ApproxCost(ds.Order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac, err := cmp.ApproxCost(dc.Order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both encodings minimise the same threshold-approximated
+		// objective; their optima must agree bit-identically.
+		if as != ac {
+			t.Errorf("n=%d %v: approx optimum differs: standard %v, compact %v", n, g, as, ac)
+		}
+		// Each decoded order must either attain the exact DP optimum
+		// or tie the DP-optimal order on the approximated objective
+		// (the threshold grid can alias orders; both encodings then
+		// legitimately pick any tied order).
+		opt, err := classical.Optimal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pair := range map[string]struct {
+			e *Encoding
+			d Decoded
+		}{"standard": {std, ds}, "compact": {cmp, dc}} {
+			ok, err := pair.e.IsOptimal(pair.d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ac, err := cmp.ApproxCost(dc.Order)
+			if ok {
+				continue
+			}
+			ao, err := pair.e.ApproxCost(opt.Order)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Both encodings minimise the same threshold-approximated
-			// objective; their optima must agree bit-identically.
-			if as != ac {
-				t.Errorf("n=%d %v: approx optimum differs: standard %v, compact %v", n, g, as, ac)
-			}
-			// Each decoded order must either attain the exact DP optimum
-			// or tie the DP-optimal order on the approximated objective
-			// (the threshold grid can alias orders; both encodings then
-			// legitimately pick any tied order).
-			opt, err := classical.Optimal(q)
+			ad, err := pair.e.ApproxCost(pair.d.Order)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, pair := range map[string]struct {
-				e *Encoding
-				d Decoded
-			}{"standard": {std, ds}, "compact": {cmp, dc}} {
-				ok, err := pair.e.IsOptimal(pair.d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok {
-					continue
-				}
-				ao, err := pair.e.ApproxCost(opt.Order)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ad, err := pair.e.ApproxCost(pair.d.Order)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ad != ao {
-					t.Errorf("n=%d %v: %s optimum cost %v (approx %v) vs DP %v (approx %v)",
-						n, g, name, pair.d.Cost, ad, opt.Cost, ao)
-				}
+			if ad != ao {
+				t.Errorf("n=%d %v: %s optimum cost %v (approx %v) vs DP %v (approx %v)",
+					n, g, name, pair.d.Cost, ad, opt.Cost, ao)
 			}
 		}
 	}

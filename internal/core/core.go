@@ -198,7 +198,7 @@ func (e *Encoding) TIOVar(t, j int) int { return e.tio[t][j] }
 // terms quadratically with the relation count, so beyond this point one
 // giant QUBO is slower to build than it is useful to solve. Larger queries
 // go through graph-partition decomposition instead (the decomp backend),
-// which solves QUBO-sized parts and stitches the per-part orders.
+// which plans bounded parts classically and stitches the per-part orders.
 const MaxMonolithicRelations = 32
 
 // Encode builds the QUBO encoding for the query under the given options.
@@ -221,7 +221,7 @@ func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding,
 		return nil, fmt.Errorf("core: cannot encode invalid query: %w", err)
 	}
 	if n := q.NumRelations(); n > MaxMonolithicRelations {
-		return nil, fmt.Errorf("core: %d relations exceeds the %d-relation monolithic encoding limit; use the decomp backend, which partitions the join graph into QUBO-sized parts and stitches the per-part orders", n, MaxMonolithicRelations)
+		return nil, fmt.Errorf("core: %d relations exceeds the %d-relation monolithic encoding limit; use the decomp backend, which partitions the join graph into parts, plans each part by exact DP and stitches the per-part orders", n, MaxMonolithicRelations)
 	}
 	opts = opts.withDefaults()
 	if opts.Compact && opts.Original {

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -137,54 +138,30 @@ func TestContractComposites(t *testing.T) {
 	}
 }
 
-func testBackend(t testing.TB, cfg Config) *Backend {
-	t.Helper()
-	r := service.NewRegistry()
-	for _, be := range []service.Backend{
-		service.NewDPBackend(),
-		service.NewGreedyBackend(),
-		service.NewTabuBackend(),
-	} {
-		if err := r.Register(be); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg.Registry = r
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestStitchedPlansValidAndNeverWorseThanGreedy is the subsystem's core
 // property: across graph shapes, sizes well past the monolithic limit, and
 // seeds, the decomposed plan is a valid permutation whose true cost never
 // exceeds the global greedy plan's.
 func TestStitchedPlansValidAndNeverWorseThanGreedy(t *testing.T) {
-	b := testBackend(t, Config{Subsolver: "tabu", PartBudget: 7})
+	b := New(7)
 	for _, g := range shapes {
 		for _, n := range []int{20, 34, 41} {
 			for seed := int64(0); seed < 2; seed++ {
 				q := genQuery(t, n, g, seed*1000+int64(n))
-				res, err := b.SolveQuery(context.Background(), q, service.EncodeSpec{},
-					service.Params{Reads: 3, Seed: seed})
+				d, err := b.SolveQuery(context.Background(), q, service.Params{Seed: seed})
 				if err != nil {
 					t.Fatalf("%v n=%d seed=%d: %v", g, n, seed, err)
 				}
-				if !res.Decoded.Order.IsPermutation(n) {
-					t.Fatalf("%v n=%d seed=%d: order %v is not a permutation", g, n, seed, res.Decoded.Order)
+				if !d.Order.IsPermutation(n) {
+					t.Fatalf("%v n=%d seed=%d: order %v is not a permutation", g, n, seed, d.Order)
 				}
 				greedy := classical.Greedy(q)
-				if res.Decoded.Cost > greedy.Cost*(1+1e-12) {
+				if d.Cost > greedy.Cost*(1+1e-12) {
 					t.Fatalf("%v n=%d seed=%d: decomp cost %g worse than greedy %g",
-						g, n, seed, res.Decoded.Cost, greedy.Cost)
+						g, n, seed, d.Cost, greedy.Cost)
 				}
-				if got := q.Cost(res.Decoded.Order); got != res.Decoded.Cost {
-					t.Fatalf("%v n=%d seed=%d: reported cost %g != recomputed %g", g, n, seed, res.Decoded.Cost, got)
-				}
-				if n > core.MaxMonolithicRelations && res.LogicalQubits == 0 {
-					t.Fatalf("%v n=%d: no part went through a QUBO encoding", g, n)
+				if got := q.Cost(d.Order); got != d.Cost {
+					t.Fatalf("%v n=%d seed=%d: reported cost %g != recomputed %g", g, n, seed, d.Cost, got)
 				}
 			}
 		}
@@ -199,16 +176,12 @@ func TestSolvesBeyondMonolithicLimit(t *testing.T) {
 	if _, err := core.Encode(q, core.Options{Thresholds: core.DefaultThresholds(q, 3)}); err == nil {
 		t.Fatalf("monolithic encode of %d relations unexpectedly succeeded", n)
 	}
-	b := testBackend(t, Config{Subsolver: "tabu", PartBudget: 10})
-	res, err := b.SolveQuery(context.Background(), q, service.EncodeSpec{}, service.Params{Reads: 2, Seed: 1})
+	d, err := New(10).SolveQuery(context.Background(), q, service.Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Decoded.Valid || !res.Decoded.Order.IsPermutation(n) {
-		t.Fatalf("invalid decomposed plan: %+v", res.Decoded)
-	}
-	if res.LogicalQubits == 0 {
-		t.Fatal("expected a nonzero aggregate qubit count")
+	if !d.Valid || !d.Order.IsPermutation(n) {
+		t.Fatalf("invalid decomposed plan: %+v", d)
 	}
 }
 
@@ -243,8 +216,7 @@ func TestSolveOnEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := testBackend(t, Config{Subsolver: "tabu", PartBudget: 5})
-	d, err := b.Solve(context.Background(), enc, service.Params{Reads: 2, Seed: 2})
+	d, err := New(5).Solve(context.Background(), enc, service.Params{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,33 +228,102 @@ func TestSolveOnEncoding(t *testing.T) {
 	}
 }
 
-// TestHybridSubsolvePath runs the default (no named subsolver) hybrid
-// orchestration per part with hedging disabled for test speed.
-func TestHybridSubsolvePath(t *testing.T) {
-	q := genQuery(t, 24, querygen.Tree, 11)
-	b := testBackend(t, Config{PartBudget: 8, HedgeDelay: -1})
-	res, err := b.SolveQuery(context.Background(), q, service.EncodeSpec{}, service.Params{Reads: 2, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Decoded.Order.IsPermutation(24) {
-		t.Fatalf("order %v is not a permutation", res.Decoded.Order)
-	}
-	if greedy := classical.Greedy(q); res.Decoded.Cost > greedy.Cost*(1+1e-12) {
-		t.Fatalf("cost %g worse than greedy %g", res.Decoded.Cost, greedy.Cost)
+// TestSinglePartIsOptimal: a query whose whole graph fits one part is
+// planned by one exact DP sweep, so decomp returns classical.Optimal's
+// cost.
+func TestSinglePartIsOptimal(t *testing.T) {
+	for _, g := range shapes {
+		for _, n := range []int{3, 9, 16, maxPartDP} {
+			q := genQuery(t, n, g, int64(n))
+			opt, err := classical.Optimal(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := New(maxPartDP).SolveQuery(context.Background(), q, service.Params{})
+			if err != nil {
+				t.Fatalf("%v n=%d: %v", g, n, err)
+			}
+			// The sweep sums its cost in another order than join.Query.Cost,
+			// so compare against the optimal order costed the same way.
+			if want := q.Cost(opt.Order); d.Cost != want {
+				t.Fatalf("%v n=%d: decomp cost %v, DP optimum %v", g, n, d.Cost, want)
+			}
+		}
 	}
 }
 
-// TestUnknownSubsolverDegradesClassically: a misconfigured subsolver name
-// must not fail the query — every part falls back to its classical floor.
-func TestUnknownSubsolverDegradesClassically(t *testing.T) {
-	q := genQuery(t, 20, querygen.Chain, 6)
-	b := testBackend(t, Config{Subsolver: "no-such-backend"})
-	res, err := b.SolveQuery(context.Background(), q, service.EncodeSpec{}, service.Params{Seed: 1})
-	if err != nil {
+// relabel returns q with relation i moved to position perm[i].
+func relabel(q *join.Query, perm []int) *join.Query {
+	rq := &join.Query{Relations: make([]join.Relation, len(perm))}
+	for i, r := range q.Relations {
+		rq.Relations[perm[i]] = r
+	}
+	for _, p := range q.Predicates {
+		rq.Predicates = append(rq.Predicates, join.Predicate{R1: perm[p.R1], R2: perm[p.R2], Sel: p.Sel})
+	}
+	return rq
+}
+
+// TestRelabelledQuerySameCost: served through the service, which hands the
+// backend the query's canonical relabelling, the plan's cost does not
+// depend on how the client numbered the relations — also on the
+// integer-log instances, whose many equal cardinalities and selectivities
+// leave the partitioner and greedy with ties to break by index.
+func TestRelabelledQuerySameCost(t *testing.T) {
+	reg := service.NewRegistry()
+	if err := reg.Register(New(8)); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Decoded.Order.IsPermutation(20) {
-		t.Fatalf("order %v is not a permutation", res.Decoded.Order)
+	svc := service.New(reg, service.Config{Workers: 1, DefaultBackend: Name})
+	defer svc.Close(context.Background())
+	for _, integerLog := range []bool{false, true} {
+		for _, g := range shapes {
+			for _, n := range []int{14, 30, 45} {
+				cfg := querygen.Config{Relations: n, Graph: g}
+				if integerLog {
+					cfg = querygen.Config{Relations: n, Graph: g, IntegerLog: true,
+						MinLogCard: 1, MaxLogCard: 3, MinLogSel: 1, MaxLogSel: 2}
+				}
+				for seed := int64(0); seed < 3; seed++ {
+					q, err := querygen.Generate(cfg, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					rq := relabel(q, rand.New(rand.NewSource(seed+100)).Perm(n))
+					resp, err := svc.Optimize(context.Background(), &service.Request{Query: q, Lean: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rresp, err := svc.Optimize(context.Background(), &service.Request{Query: rq, Lean: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(rresp.Cost-resp.Cost) > 1e-9*resp.Cost {
+						t.Fatalf("integer-log %v, %v n=%d seed=%d: relabelled cost %v, original %v",
+							integerLog, g, n, seed, rresp.Cost, resp.Cost)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExpiredContextStillPlans: with no time left no DP sweep starts, yet
+// the answer is still a valid plan no worse than greedy.
+func TestExpiredContextStillPlans(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, g := range shapes {
+		q := genQuery(t, 40, g, 2)
+		d, err := New(10).SolveQuery(ctx, q, service.Params{})
+		if err != nil {
+			t.Fatalf("%v: %v", g, err)
+		}
+		if !d.Order.IsPermutation(40) {
+			t.Fatalf("%v: order %v is not a permutation", g, d.Order)
+		}
+		if greedy := classical.Greedy(q); d.Cost > greedy.Cost {
+			t.Fatalf("%v: cost %g worse than greedy %g", g, d.Cost, greedy.Cost)
+		}
 	}
 }

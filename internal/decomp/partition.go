@@ -1,13 +1,15 @@
-// Package decomp scales join order optimisation past the monolithic QUBO
-// limit by hybrid decomposition (after Nayak et al., "Improved Join Order
-// Optimization … Hybrid Quantum-Classical Approaches for QUBO Problems"):
-// the join-predicate graph is partitioned into connected, QUBO-sized
-// subgraphs with a min-cut-flavoured greedy partitioner plus KL-style
-// refinement, each part is solved through the existing backend portfolio
-// (hybrid orchestration or a named subsolver, warm-started and
-// breaker-aware), and the per-part orders are stitched into a full plan by
-// the classical planner running on the contracted part-graph — parts
-// become composite relations with derived cardinalities and selectivities.
+// Package decomp plans join graphs past the monolithic QUBO limit by graph
+// decomposition (after Nayak et al., "Improved Join Order Optimization …
+// Hybrid Quantum-Classical Approaches for QUBO Problems"): the
+// join-predicate graph is partitioned into connected subgraphs of bounded
+// size with a min-cut-flavoured greedy partitioner plus KL-style
+// refinement, each part is planned exactly by classical DP (greedy above
+// the DP size or when the deadline cuts the sweep short), and the per-part
+// orders are stitched into a full plan by the classical planner running on
+// the contracted part-graph — parts become composite relations with
+// derived cardinalities and selectivities. No part is QUBO-encoded: DP
+// proves a part of this size optimal in milliseconds, so a quantum or
+// heuristic part solver has nothing left to win.
 package decomp
 
 import (

@@ -84,34 +84,38 @@ func contract(q *join.Query, parts [][]int) (*join.Query, error) {
 	return cq, nil
 }
 
-// maxStitchDP caps the part count for the exact DP stitch: 2^16 subsets is
-// milliseconds, and classical.MaxDPRelations bounds it anyway.
+// maxStitchDP caps the part count for the exact DP stitch over the
+// contracted part-graph: 2^16 subsets is milliseconds. Above it the stitch
+// falls back to greedy.
 const maxStitchDP = 16
 
 // stitchOrder sequences the parts over the contracted query — exact DP
-// when the part count admits it, greedy otherwise — and expands the
-// part sequence into a full join order by splicing each part's internal
-// order (local indices) back onto the global relation indices.
-func stitchOrder(ctx context.Context, parts [][]int, partOrders []join.Order, cq *join.Query, dpParts int) (join.Order, string) {
-	var seq join.Order
-	producer := "greedy"
-	if len(parts) == 1 {
-		seq = join.Order{0}
-		producer = "single"
-	} else if len(parts) <= dpParts {
-		if res, err := classical.OptimalContext(ctx, cq); err == nil {
-			seq = res.Order
-			producer = "dp"
+// when the part count admits it, greedy otherwise; a single part needs no
+// sequencing — and expands the part sequence into a full join order by
+// splicing each part's internal order (local indices) back onto the global
+// relation indices.
+func stitchOrder(ctx context.Context, q *join.Query, parts [][]int, partOrders []join.Order) (join.Order, string, error) {
+	seq, producer := join.Order{0}, "single"
+	if len(parts) > 1 {
+		cq, err := contract(q, parts)
+		if err != nil {
+			return nil, "", err
+		}
+		seq, producer = nil, "greedy"
+		if len(parts) <= maxStitchDP {
+			if res, err := classical.OptimalContext(ctx, cq); err == nil {
+				seq, producer = res.Order, "dp"
+			}
+		}
+		if seq == nil {
+			seq = classical.Greedy(cq).Order
 		}
 	}
-	if seq == nil {
-		seq = classical.Greedy(cq).Order
-	}
-	full := make(join.Order, 0, len(cq.Relations))
+	full := make(join.Order, 0, q.NumRelations())
 	for _, pi := range seq {
 		for _, li := range partOrders[pi] {
 			full = append(full, parts[pi][li])
 		}
 	}
-	return full, producer
+	return full, producer, nil
 }

@@ -113,16 +113,8 @@ func TestHTTPHybridEndToEnd(t *testing.T) {
 		t.Errorf("strategy field: error %q (decode err %v), want it to name \"strategy\"", e.Error, err)
 	}
 
-	// /metrics.json must expose hybrid requests and arbitration outcomes.
-	mresp, err := http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap service.Snapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
+	// The metrics must expose hybrid requests and arbitration outcomes.
+	snap := svc.MetricsSnapshot()
 	// 3 successful orchestrations; the rejected body never reached it.
 	if hb, ok := snap.Backends["hybrid"]; !ok || hb.Requests != 3 || hb.Errors != 0 {
 		t.Errorf("hybrid backend metrics = %+v, want 3 requests / 0 errors", snap.Backends["hybrid"])

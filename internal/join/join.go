@@ -67,7 +67,7 @@ func (q *Query) Validate() error {
 		return errors.New("join: query needs at least two relations")
 	}
 	if len(q.Relations) > MaxRelations {
-		return fmt.Errorf("join: %d relations exceeds the %d-relation limit of the uint64 set masks; partition the join graph instead (the decomp backend splits large graphs into QUBO-sized parts and stitches the per-part orders)", len(q.Relations), MaxRelations)
+		return fmt.Errorf("join: %d relations exceeds the %d-relation limit of the uint64 set masks; partition the join graph instead (the decomp backend splits large graphs into bounded parts and stitches the per-part orders)", len(q.Relations), MaxRelations)
 	}
 	for i, r := range q.Relations {
 		if r.Card < 1 || math.IsNaN(r.Card) || math.IsInf(r.Card, 0) {

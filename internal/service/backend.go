@@ -52,8 +52,8 @@ type Params struct {
 // DecompParams tune the graph-partition decomposition backend. The zero
 // value picks the backend's defaults.
 type DecompParams struct {
-	// PartBudget caps the relations per partition part (each part becomes
-	// one QUBO-sized subproblem). Zero selects the backend default.
+	// PartBudget caps the relations per partition part (each part is
+	// planned on its own). Zero selects the backend default.
 	PartBudget int
 }
 
@@ -82,24 +82,17 @@ type Backend interface {
 	Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error)
 }
 
-// QueryResult is the outcome of a QueryBackend solve: the decoded plan in
-// the query's own relation indexing plus the aggregate encoding size the
-// backend actually built (for decomposition: the sum over per-part QUBOs).
-type QueryResult struct {
-	Decoded       core.Decoded
-	LogicalQubits int
-}
-
 // QueryBackend is implemented by backends that plan directly over the join
 // query instead of a monolithic QUBO encoding — the decomposition backend,
 // which partitions graphs far above the monolithic encoding limit and
-// builds its own per-part encodings. The service routes requests for such
+// plans each part classically. The service routes requests for such
 // backends around the encoding cache entirely: no monolithic encode is
-// attempted (it would be rejected above core.MaxMonolithicRelations), and
-// the query is passed in its original relation indexing.
+// attempted (it would be rejected above core.MaxMonolithicRelations).
+// SolveQuery receives the query's canonical relabelling, the same instance
+// an encoding backend is handed, and returns its plan in that labelling.
 type QueryBackend interface {
 	Backend
-	SolveQuery(ctx context.Context, q *join.Query, spec EncodeSpec, p Params) (*QueryResult, error)
+	SolveQuery(ctx context.Context, q *join.Query, p Params) (*core.Decoded, error)
 }
 
 // BatchSolver is implemented by backends with an amortised many-instance

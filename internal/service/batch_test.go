@@ -172,7 +172,7 @@ func TestOptimizeBatchPartialFailure(t *testing.T) {
 
 // TestHTTPBatchEndpoint drives POST /v1/optimize/batch end to end: dedup
 // accounting, per-item errors with their would-be status codes, cache_key
-// on every successful item, and the batch counters on /metrics.json.
+// on every successful item, and the batch counters in the metrics snapshot.
 func TestHTTPBatchEndpoint(t *testing.T) {
 	svc, ts := newTestServer(t)
 

@@ -93,7 +93,6 @@ const (
 //	POST /v1/optimize   — run one optimisation job
 //	GET  /v1/backends   — list registered backends
 //	GET  /metrics       — Prometheus text exposition
-//	GET  /metrics.json  — JSON observability snapshot
 //	GET  /debug/traces  — recent request traces (JSON; ?id=, ?format=flame)
 //	GET  /debug/pprof/* — runtime profiles (only with Config.Pprof)
 //	GET  /healthz       — liveness probe
@@ -122,13 +121,6 @@ func NewHandler(s *Service) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		_ = s.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(r.Context(), w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 	})
 	mux.HandleFunc("/debug/traces", s.handleTraces)
 	if s.cfg.Pprof {

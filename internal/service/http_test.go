@@ -223,7 +223,7 @@ func TestHTTPHealthAndBackends(t *testing.T) {
 // TestHTTPConcurrentRequestsAndMetrics hammers the daemon concurrently
 // (run under -race) and then checks the /metrics accounting.
 func TestHTTPConcurrentRequestsAndMetrics(t *testing.T) {
-	_, ts := newTestServer(t)
+	svc, ts := newTestServer(t)
 	const goroutines, perG = 8, 4
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*perG)
@@ -253,15 +253,7 @@ func TestHTTPConcurrentRequestsAndMetrics(t *testing.T) {
 		t.Error(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	snap := svc.MetricsSnapshot()
 	if snap.Requests.Total != goroutines*perG {
 		t.Errorf("requests.total = %d, want %d", snap.Requests.Total, goroutines*perG)
 	}

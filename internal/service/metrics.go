@@ -224,7 +224,8 @@ type BatchSnapshot struct {
 	Unique    int64 `json:"unique"`
 }
 
-// Snapshot is the full /metrics.json payload.
+// Snapshot is the full observability state, as returned by
+// Service.MetricsSnapshot.
 type Snapshot struct {
 	UptimeSeconds float64                    `json:"uptime_seconds"`
 	Requests      RequestsSnapshot           `json:"requests"`

@@ -14,10 +14,10 @@ var breakerStates = []string{HealthOK, HealthOpen, HealthHalfOpen}
 
 // WritePrometheus renders every service metric in Prometheus text
 // exposition format 0.0.4: the counters and histograms behind
-// /metrics.json, per-backend latency histograms with cumulative buckets
+// MetricsSnapshot, per-backend latency histograms with cumulative buckets
 // in seconds, breaker states, cache hit/miss counters, hybrid
 // arbitration outcomes, and (when tracing is on) tracer throughput.
-// Served at /metrics; /metrics.json keeps the JSON snapshot.
+// Served at /metrics.
 func (s *Service) WritePrometheus(w io.Writer) error {
 	p := obs.NewPromWriter(w)
 	m := s.metrics

@@ -12,8 +12,7 @@ import (
 )
 
 // stubQueryBackend plans over the query directly (the decomp backend's
-// shape): it returns the reversed identity order and a fixed qubit count,
-// and records whether the service ever took the monolithic Solve path.
+// shape): it returns the reversed identity order and records whether the service ever took the monolithic Solve path.
 type stubQueryBackend struct {
 	queryCalls int32
 	solveCalls int32
@@ -27,7 +26,7 @@ func (s *stubQueryBackend) Solve(ctx context.Context, enc *core.Encoding, p Para
 	return nil, fmt.Errorf("stubqb: monolithic Solve must not be reached")
 }
 
-func (s *stubQueryBackend) SolveQuery(ctx context.Context, q *join.Query, spec EncodeSpec, p Params) (*QueryResult, error) {
+func (s *stubQueryBackend) SolveQuery(ctx context.Context, q *join.Query, p Params) (*core.Decoded, error) {
 	atomic.AddInt32(&s.queryCalls, 1)
 	if s.fail {
 		return nil, fmt.Errorf("stubqb: injected failure")
@@ -37,10 +36,7 @@ func (s *stubQueryBackend) SolveQuery(ctx context.Context, q *join.Query, spec E
 	for i := range o {
 		o[i] = n - 1 - i
 	}
-	return &QueryResult{
-		Decoded:       core.Decoded{Valid: true, Order: o, Cost: q.Cost(o)},
-		LogicalQubits: 7,
-	}, nil
+	return &core.Decoded{Valid: true, Order: o, Cost: q.Cost(o)}, nil
 }
 
 func queryBackendService(t *testing.T, stub *stubQueryBackend) *Service {
@@ -67,8 +63,7 @@ func bigChainQuery(n int) *join.Query {
 
 // TestQueryBackendRoutesAroundEncodingCache: a QueryBackend request must
 // never build (or hit) a monolithic encoding — repeated identical requests
-// stay cache misses, call SolveQuery each time, and carry the backend's own
-// qubit accounting.
+// stay cache misses, call SolveQuery each time, and report no qubits.
 func TestQueryBackendRoutesAroundEncodingCache(t *testing.T) {
 	stub := &stubQueryBackend{}
 	svc := queryBackendService(t, stub)
@@ -85,8 +80,8 @@ func TestQueryBackendRoutesAroundEncodingCache(t *testing.T) {
 		if resp.CacheKey == "" {
 			t.Error("QueryBackend response lost its fingerprint cache key")
 		}
-		if resp.LogicalQubits != 7 {
-			t.Errorf("LogicalQubits = %d, want the backend's 7", resp.LogicalQubits)
+		if resp.LogicalQubits != 0 {
+			t.Errorf("LogicalQubits = %d, want 0: no QUBO was built", resp.LogicalQubits)
 		}
 		if !resp.Order.IsPermutation(q.NumRelations()) {
 			t.Errorf("order %v is not a permutation", resp.Order)
@@ -177,9 +172,5 @@ func TestBatchSolvesQueryBackendItemsSolo(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&stub.queryCalls); got != 2 {
 		t.Errorf("SolveQuery calls = %d, want 2 (no dedup across QueryBackend items)", got)
-	}
-	if resps[0].LogicalQubits != 7 || resps[2].LogicalQubits != 7 {
-		t.Errorf("QueryBackend items lost their qubit accounting: %d, %d",
-			resps[0].LogicalQubits, resps[2].LogicalQubits)
 	}
 }

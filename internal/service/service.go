@@ -103,6 +103,19 @@ type reqScratch struct {
 	dec core.Decoder
 }
 
+// requestOrder appends to dst the canonical-labelled order translated
+// back into the request's relation indexing (perm[original] = canonical).
+func (sc *reqScratch) requestOrder(perm []int, canonical, dst join.Order) join.Order {
+	sc.inv = growInts(sc.inv, len(perm))
+	for orig, canon := range perm {
+		sc.inv[canon] = orig
+	}
+	for _, canon := range canonical {
+		dst = append(dst, sc.inv[canon])
+	}
+	return dst
+}
+
 // New assembles a service over the given backend registry.
 func New(reg *Registry, cfg Config) *Service {
 	cfg = cfg.withDefaults()
@@ -153,7 +166,8 @@ type Response struct {
 	// OptimalCost.
 	OptimalCost float64
 	Optimal     bool
-	// LogicalQubits is the QUBO encoding size.
+	// LogicalQubits is the QUBO encoding size: 0 for a query-level backend
+	// (decomp), which builds no QUBO.
 	LogicalQubits int
 	// CacheKey is the permutation-invariant WL-hash fingerprint of (query
 	// shape, encoding options) — the encoding-cache key and the cluster
@@ -335,7 +349,7 @@ func (s *Service) solveInto(ctx context.Context, backend Backend, req *Request, 
 	defer s.scratch.Put(sc)
 
 	// Query-level backends (decomposition) plan over the join graph
-	// directly and build their own per-part encodings; routing them
+	// directly and build no encoding; routing them
 	// through the monolithic encode would be wasted work at best and a
 	// hard error above core.MaxMonolithicRelations.
 	if qb, ok := backend.(QueryBackend); ok {
@@ -404,14 +418,7 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 	// The backend solved the canonical instance; translate the order back
 	// into the request's relation indexing (costs are label-invariant).
 	_, decodeSpan := obs.StartSpan(ctx, "decode")
-	sc.inv = growInts(sc.inv, len(perm))
-	for orig, canon := range perm {
-		sc.inv[canon] = orig
-	}
-	order := resp.Order[:0]
-	for _, canon := range d.Order {
-		order = append(order, sc.inv[canon])
-	}
+	order := sc.requestOrder(perm, d.Order, resp.Order[:0])
 
 	resp.Backend = producer
 	resp.Order = order
@@ -500,24 +507,22 @@ func (s *Service) fallback(ctx context.Context, q *join.Query, enc *core.Encodin
 
 // solveQueryInto serves a QueryBackend request. The WL fingerprint is
 // still computed — it is the response CacheKey and the cluster routing
-// key — but no monolithic encoding is built or cached: the backend owns
-// its own (per-part) encodings, and its order comes back in the request's
-// own relation indexing, so no permutation translation happens either.
+// key — but no monolithic encoding is built or cached. As on the encoding
+// path, the backend plans the canonical relabelling of the query and its
+// order is translated back into the request's own relation indexing, so
+// relabelling a request's relations cannot change its plan.
 func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req *Request, sc *reqScratch, resp *Response) error {
-	sum, _ := sc.fp.sum(req.Query, req.Spec)
+	sum, perm := sc.fp.sum(req.Query, req.Spec)
 	key := hex.EncodeToString(sum[:])
+	cq := canonicalize(req.Query, perm)
 	obs.ActiveSpan(ctx).SetAttrBool("cache_hit", false)
 
 	bm := s.metrics.Backend(backend.Name())
 	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
 	solveSpan.SetAttrStr("backend", backend.Name())
 	solveStart := time.Now()
-	qr, err := s.safeSolveQuery(solveCtx, backend, req)
-	var d *core.Decoded
-	qubits := 0
+	d, err := s.safeSolveQuery(solveCtx, backend, cq, req.Params)
 	if err == nil {
-		d = &qr.Decoded
-		qubits = qr.LogicalQubits
 		err = vetDecoded(req.Query.NumRelations(), backend.Name(), d)
 	}
 	bm.Observe(time.Since(solveStart), err)
@@ -531,7 +536,7 @@ func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req 
 			return err
 		}
 		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, req.Query, nil)
+		d, producer = s.fallback(fbCtx, cq, nil)
 		fbSpan.SetAttrStr("fallback", producer)
 		fbSpan.End(nil)
 		degraded, reason = true, err.Error()
@@ -544,16 +549,18 @@ func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req 
 			"backend", backend.Name(), "fallback", producer, "error", reason)
 	}
 
+	order := sc.requestOrder(perm, d.Order, resp.Order[:0])
+
 	resp.Backend = producer
-	resp.Order = append(resp.Order[:0], d.Order...)
+	resp.Order = order
 	resp.Tree = ""
 	if !req.Lean {
-		resp.Tree = req.Query.Tree(resp.Order)
+		resp.Tree = req.Query.Tree(order)
 	}
-	resp.Cost = req.Query.Cost(resp.Order)
+	resp.Cost = req.Query.Cost(order)
 	resp.OptimalCost = 0
 	resp.Optimal = false
-	resp.LogicalQubits = qubits
+	resp.LogicalQubits = 0
 	resp.CacheKey = key
 	resp.CacheHit = false
 	resp.Degraded = degraded
@@ -570,12 +577,12 @@ func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req 
 
 // safeSolveQuery is safeSolve for query-level backends: panic containment
 // around SolveQuery.
-func (s *Service) safeSolveQuery(ctx context.Context, backend QueryBackend, req *Request) (qr *QueryResult, err error) {
+func (s *Service) safeSolveQuery(ctx context.Context, backend QueryBackend, q *join.Query, p Params) (d *core.Decoded, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			qr = nil
+			d = nil
 			err = fmt.Errorf("service: backend %q panicked: %v: %w", backend.Name(), r, ErrPanic)
 		}
 	}()
-	return backend.SolveQuery(ctx, req.Query, req.Spec, req.Params)
+	return backend.SolveQuery(ctx, q, p)
 }
