@@ -1,10 +1,11 @@
 // Command qjoind serves join order optimisation over HTTP/JSON: queries
-// are QUBO-encoded (with an LRU encoding cache keyed by a canonical hash
-// of the query graph) and solved on a registered backend — the simulated
-// quantum annealer, tabu search, QAOA simulation, the exact MILP solver,
-// the classical DP/greedy baselines, the hybrid orchestrator (which
-// races or stages the other backends under the request deadline and
-// arbitrates by true plan cost), or the decomposition backend (which
+// are prepared for QUBO encoding (with an LRU encoding cache keyed by a
+// canonical hash of the query graph; an entry's QUBO is built on first
+// use by a backend that reads it) and solved on a registered backend —
+// the simulated quantum annealer, tabu search, QAOA simulation, the exact
+// MILP solver, the classical DP/greedy baselines, the hybrid orchestrator
+// (which races or stages the other backends under the request deadline
+// and arbitrates by true plan cost), or the decomposition backend (which
 // partitions join graphs past the monolithic encoding limit into parts,
 // plans each part by exact DP, and stitches the per-part orders
 // classically) — under bounded concurrency and per-request deadlines.

@@ -347,9 +347,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(service.HeaderWarmOnly) != "" {
 			// A replica warm push from a primary owner: populate the
 			// encoding cache directly, no routing (pushes never cascade).
-			n.counters.warmsReceived.Add(1)
+			// Counted once served, so a reader that sees the counter move
+			// also sees the cache entry.
 			w.Header().Set(HeaderServedBy, n.cfg.Self)
 			n.inner.ServeHTTP(w, r)
+			n.counters.warmsReceived.Add(1)
 			return
 		}
 		n.handleOptimize(w, r)

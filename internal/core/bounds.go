@@ -44,8 +44,9 @@ func UpperBound(q *join.Query, r int, omega float64) QubitBound {
 		DisjointSlack: t,
 		PAOSlack:      2 * p * (j - 1),
 	}
+	cj := cjMaxes(q)
 	for jj := 1; jj < j; jj++ {
-		b.ThresholdSlack += r * linprog.SlackBits(CJMax(q, jj), omega)
+		b.ThresholdSlack += r * linprog.SlackBits(cj[jj], omega)
 	}
 	return b
 }

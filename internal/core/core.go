@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"quantumjoin/internal/classical"
@@ -117,9 +118,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Encoding is a fully built QUBO encoding of a join ordering problem along
-// with the intermediate models and the variable metadata needed to decode
-// QPU samples back into join orders.
+// Encoding is the QUBO encoding of a join ordering problem along with the
+// intermediate models and the variable metadata needed to decode QPU
+// samples back into join orders. Encode returns it fully built. Prepare
+// returns it validated but unbuilt: Query, Opts and NumQubits are set, and
+// the model fields (MILP, BILP, QUBO, Infos, the penalties) stay zero
+// until Build fills them. A backend that reads only Query and the optimum
+// memo can therefore plan on a prepared encoding without paying for the
+// MILP → BILP → QUBO build.
 type Encoding struct {
 	Query *join.Query
 	Opts  Options
@@ -140,6 +146,17 @@ type Encoding struct {
 
 	tii [][]int // tii[t][j] -> variable index
 	tio [][]int // tio[t][j] -> variable index
+
+	// cjmax[j] is c_jmax of join j (Lemma 5.2), computed once per query;
+	// qubits is the exact binary-variable count of the built QUBO.
+	cjmax  []float64
+	qubits int
+
+	// Build runs the MILP → BILP → QUBO build once and keeps its error;
+	// built turns true when it has run.
+	buildOnce sync.Once
+	buildErr  error
+	built     atomic.Bool
 
 	// Memoised classical optimum of Query (see OptimalContext in
 	// decode.go) and minor embedding of QUBO (see Embedding).
@@ -178,8 +195,9 @@ func (e *Encoding) SetEmbedding(graph *topology.Graph, tries int, seed int64, em
 }
 
 // NumQubits returns the number of logical qubits the encoding needs (one
-// per binary variable, §3.4).
-func (e *Encoding) NumQubits() int { return e.QUBO.N() }
+// per binary variable, §3.4). Prepare computes it exactly, so it never
+// builds the QUBO.
+func (e *Encoding) NumQubits() int { return e.qubits }
 
 // NumDecisionVars returns the number of problem-encoding variables
 // (excluding slack bits).
@@ -209,11 +227,25 @@ func Encode(q *join.Query, opts Options) (*Encoding, error) {
 	return EncodeContext(context.Background(), q, opts)
 }
 
-// EncodeContext is Encode with per-stage tracing: when ctx carries an
-// active obs span, the MILP construction, BILP slack discretisation, and
-// QUBO penalty conversion each get a child span recording the model size
-// they produced (variables, constraints, qubits).
+// EncodeContext is Encode with per-stage tracing: Prepare followed by
+// Build, so when ctx carries an active obs span the build runs under an
+// "encode" span whose children record the model size each stage produced.
 func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding, error) {
+	e, err := Prepare(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Build(ctx); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Prepare validates q and opts exactly as Encode does, with the same
+// errors, and returns an unbuilt Encoding: Query, Opts (defaults applied)
+// and the exact logical-qubit count are set, no model is built. Call Build
+// before reading MILP, BILP, QUBO or Infos, or decoding a sample.
+func Prepare(q *join.Query, opts Options) (*Encoding, error) {
 	if q == nil {
 		return nil, fmt.Errorf("core: cannot encode nil query")
 	}
@@ -238,8 +270,36 @@ func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding,
 	if opts.Omega <= 0 {
 		return nil, fmt.Errorf("core: discretisation precision ω must be positive, got %v", opts.Omega)
 	}
+	e := &Encoding{Query: q, Opts: opts, cjmax: cjMaxes(q)}
+	e.qubits = e.countQubits()
+	return e, nil
+}
 
-	e := &Encoding{Query: q, Opts: opts}
+// Build fills MILP, BILP, QUBO, Infos and the penalties. Only the first
+// call builds; every call returns that build's error, and concurrent
+// callers wait for it. The build opens an "encode" span in the trace ctx
+// carries, with encode.milp, encode.bilp and encode.qubo children. It does
+// not poll ctx: a build is a few milliseconds, and an error kept by the
+// latch must not depend on one request's deadline.
+func (e *Encoding) Build(ctx context.Context) error {
+	e.buildOnce.Do(func() {
+		ctx, span := obs.StartSpan(ctx, "encode")
+		e.buildErr = e.build(ctx)
+		if e.buildErr == nil {
+			span.SetAttr("qubits", e.QUBO.N())
+		}
+		span.End(e.buildErr)
+		e.built.Store(true)
+	})
+	return e.buildErr
+}
+
+// Built reports whether Build has run (successfully or not).
+func (e *Encoding) Built() bool { return e.built.Load() }
+
+// build runs the three encoding stages of §3 under per-stage spans.
+func (e *Encoding) build(ctx context.Context) error {
+	opts := e.Opts
 	_, milpSpan := obs.StartSpan(ctx, "encode.milp")
 	err := e.buildMILP()
 	if err == nil {
@@ -248,7 +308,7 @@ func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding,
 	}
 	milpSpan.End(err)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	_, bilpSpan := obs.StartSpan(ctx, "encode.bilp")
@@ -258,7 +318,7 @@ func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding,
 	}
 	bilpSpan.End(err)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.BILP = eq
 	a, b := opts.PenaltyA, opts.PenaltyB
@@ -277,10 +337,66 @@ func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding,
 	}
 	quboSpan.End(err)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if qb.N() != e.qubits {
+		return fmt.Errorf("core: built QUBO has %d variables, Prepare counted %d", qb.N(), e.qubits)
 	}
 	e.QUBO = qb
-	return e, nil
+	return nil
+}
+
+// countQubits returns the number of binary variables the built QUBO will
+// have: the decision variables buildMILP adds plus the slack bits
+// ToEquality appends, one per disjointness and applicability constraint
+// (integral, slack bound 1) and ⌊log2(bound/ω)⌋+1 per threshold
+// constraint (Lemma 5.1). It follows buildMILP's pruning exactly, so it
+// is the instance's true count, not the Theorem 5.3 upper bound.
+func (e *Encoding) countQubits() int {
+	q := e.Query
+	T, J, P := q.NumRelations(), q.NumJoins(), q.NumPredicates()
+	outerJoins, disjointJoins, paoJoins := J, 1, J-1
+	if e.Opts.Compact {
+		outerJoins = 1
+	}
+	if e.Opts.Original {
+		disjointJoins, paoJoins = J, J
+	}
+	n := T*(outerJoins+J) + T*disjointJoins + 3*P*paoJoins
+	for _, lt := range e.snappedLogThresholds() {
+		for j := e.ctoStart(); j < J; j++ {
+			if _, slackBound, ok := e.threshold(j, lt); ok {
+				n += 1 + linprog.SlackBits(slackBound, e.Opts.Omega)
+			}
+		}
+	}
+	return n
+}
+
+// ctoStart is the first join with cto variables: the pruned model drops
+// cto[r][0], since the cost counts intermediate results only (§3.2).
+func (e *Encoding) ctoStart() int {
+	if e.Opts.Original {
+		return 0
+	}
+	return 1
+}
+
+// threshold returns the activation coefficient ∞_rj and the slack bound
+// of the threshold constraint of join j at snapped log-threshold lt, and
+// whether cto[r][j] exists at all: the pruned model drops it when c_jmax
+// can never exceed the threshold (§3.2). ∞_rj sits at its lower bound
+// c_jmax − lt and the slack is bounded by c_jmax (Lemma 5.1).
+func (e *Encoding) threshold(j int, lt float64) (inf, slackBound float64, ok bool) {
+	cjmax := e.cjmax[j]
+	if !e.Opts.Original && cjmax <= lt+1e-12 {
+		return 0, 0, false
+	}
+	inf, slackBound = cjmax-lt, cjmax
+	if inf < 0 { // only possible in the unpruned model
+		inf, slackBound = 0, lt
+	}
+	return inf, slackBound, true
 }
 
 // buildMILP constructs the (pruned or original) MILP model of §3.2.
@@ -332,14 +448,7 @@ func (e *Encoding) buildMILP() error {
 		}
 		return dst
 	}
-	// Threshold constraints are discretised at precision ω; snap log10 θ_r
-	// onto the ω grid up front so that valid solutions reach exactly zero
-	// residual (the paper's §3.4 coefficient rounding, applied at model
-	// construction).
-	logTheta := make([]float64, R)
-	for r := 0; r < R; r++ {
-		logTheta[r] = math.Round(math.Log10(e.Opts.Thresholds[r])/e.Opts.Omega) * e.Opts.Omega
-	}
+	logTheta := e.snappedLogThresholds()
 
 	paoStart := 0
 	if !e.Opts.Original {
@@ -355,10 +464,7 @@ func (e *Encoding) buildMILP() error {
 			pao[p][j] = addVar(VarInfo{Kind: PAO, P: p, J: j}, fmt.Sprintf("pao[%d][%d]", p, j))
 		}
 	}
-	ctoStart := 0
-	if !e.Opts.Original {
-		ctoStart = 1 // cto[r][0] pruned: cost counts intermediate results only
-	}
+	ctoStart := e.ctoStart()
 	cto := make([][]int, R)
 	for r := 0; r < R; r++ {
 		cto[r] = make([]int, J)
@@ -366,7 +472,7 @@ func (e *Encoding) buildMILP() error {
 			cto[r][j] = -1
 		}
 		for j := ctoStart; j < J; j++ {
-			if !e.Opts.Original && CJMax(q, j) <= logTheta[r]+1e-12 {
+			if _, _, ok := e.threshold(j, logTheta[r]); !ok {
 				continue // prunable: the threshold can never be exceeded (§3.2)
 			}
 			cto[r][j] = addVar(VarInfo{Kind: CTO, R: r, J: j}, fmt.Sprintf("cto[%d][%d]", r, j))
@@ -450,22 +556,15 @@ func (e *Encoding) buildMILP() error {
 	}
 	// Cardinality threshold activation (Eq. 7):
 	// c_j − cto[r][j]·∞_rj <= log10 θ_r, with
-	// c_j = Σ_t log10(Card t)·tio[t][j] + Σ_p log10(Sel p)·pao[p][j],
-	// ∞_rj at its lower bound c_jmax − log10 θ_r, and the slack bounded by
-	// c_jmax (Lemma 5.1).
+	// c_j = Σ_t log10(Card t)·tio[t][j] + Σ_p log10(Sel p)·pao[p][j]
+	// (∞_rj and the slack bound from threshold).
 	for r := 0; r < R; r++ {
 		lt := logTheta[r]
 		for j := ctoStart; j < J; j++ {
 			if cto[r][j] < 0 {
 				continue
 			}
-			cjmax := CJMax(q, j)
-			inf := cjmax - lt
-			slackBound := cjmax
-			if inf < 0 { // only possible in the unpruned model
-				inf = 0
-				slackBound = lt
-			}
+			inf, slackBound, _ := e.threshold(j, lt)
 			c := linprog.Constraint{
 				Name:  fmt.Sprintf("threshold[%d][%d]", r, j),
 				Sense: linprog.LE, RHS: lt, SlackBound: slackBound,
@@ -506,6 +605,18 @@ func (e *Encoding) snappedLogThreshold(r int) float64 {
 	return math.Round(math.Log10(e.Opts.Thresholds[r])/e.Opts.Omega) * e.Opts.Omega
 }
 
+// snappedLogThresholds returns every snappedLogThreshold. Threshold
+// constraints are discretised at precision ω, so log10 θ_r is snapped onto
+// the ω grid up front and valid solutions reach exactly zero residual (the
+// paper's §3.4 coefficient rounding, applied at model construction).
+func (e *Encoding) snappedLogThresholds() []float64 {
+	lt := make([]float64, len(e.Opts.Thresholds))
+	for r := range lt {
+		lt[r] = e.snappedLogThreshold(r)
+	}
+	return lt
+}
+
 // DefaultThresholds returns R threshold values spread geometrically (evenly
 // in log10 space) between the smallest base-relation cardinality and the
 // largest possible intermediate cardinality of the query. The choice of
@@ -514,7 +625,8 @@ func DefaultThresholds(q *join.Query, r int) []float64 {
 	if r <= 0 {
 		return nil
 	}
-	maxLog := CJMax(q, q.NumJoins()-1)
+	cj := cjMaxes(q)
+	maxLog := cj[q.NumJoins()-1]
 	minLog := math.Inf(1)
 	for t := 0; t < q.NumRelations(); t++ {
 		if lc := q.LogCard(t); lc < minLog {
@@ -532,29 +644,33 @@ func DefaultThresholds(q *join.Query, r int) []float64 {
 	return out
 }
 
-// sortedLogCards returns log10 cardinalities in descending order.
-func sortedLogCards(q *join.Query) []float64 {
+// cjMaxes returns CJMax(q, j) for j = 0..T−1 from one descending sort of
+// the log-cardinalities: entry j is the running sum of the j+1 largest,
+// added largest first as CJMax always summed them, so the values are
+// bit-identical to a sort and sum per join.
+func cjMaxes(q *join.Query) []float64 {
 	ls := make([]float64, q.NumRelations())
 	for t := range ls {
 		ls[t] = q.LogCard(t)
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(ls)))
+	s := 0.0
+	for i, l := range ls {
+		s += l
+		ls[i] = s
+	}
 	return ls
 }
 
 // CJMax returns the maximum logarithmic (base 10) cardinality of the outer
 // operand of join j (Lemma 5.2): the sum of the j+1 largest logarithmic
 // relation cardinalities, since the outer operand of join j contains
-// exactly j+1 relations and predicates can only shrink it.
+// exactly j+1 relations and predicates can only shrink it. It sorts on
+// every call; loops over joins should index cjMaxes instead.
 func CJMax(q *join.Query, j int) float64 {
-	ls := sortedLogCards(q)
-	n := j + 1
-	if n > len(ls) {
-		n = len(ls)
+	if j < 0 || q.NumRelations() == 0 {
+		return 0
 	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += ls[i]
-	}
-	return s
+	cj := cjMaxes(q)
+	return cj[min(j, len(cj)-1)]
 }

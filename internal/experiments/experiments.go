@@ -161,13 +161,10 @@ func paperEncoding(ctx context.Context, predicates, decimals int) (*core.Encodin
 	if err != nil {
 		return nil, err
 	}
-	ectx, span := obs.StartSpan(ctx, "encode")
-	enc, err := core.EncodeContext(ectx, q, core.Options{
+	return core.EncodeContext(ctx, q, core.Options{
 		Thresholds: []float64{10},
 		Omega:      math.Pow(10, -float64(decimals)),
 	})
-	span.End(err)
-	return enc, err
 }
 
 // randomInstance draws a random integer-log query and encodes it with one
@@ -184,12 +181,10 @@ func randomInstance(ctx context.Context, relations int, graph querygen.GraphType
 	if err != nil {
 		return nil, nil, err
 	}
-	ectx, span := obs.StartSpan(ctx, "encode")
-	enc, err := core.EncodeContext(ectx, q, core.Options{
+	enc, err := core.EncodeContext(ctx, q, core.Options{
 		Thresholds: core.DefaultThresholds(q, thresholds),
 		Omega:      omega,
 	})
-	span.End(err)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,17 +1,18 @@
 // Package service turns the quantumjoin library into a long-running join
 // order optimisation service: a registry of solver backends behind one
 // context-aware interface, a bounded worker pool enforcing per-request
-// deadlines, an LRU cache of QUBO encodings keyed by a canonical hash of
-// the query graph, and an observability layer (request counters,
-// per-backend latency histograms, cache hit/miss statistics).
+// deadlines, an LRU cache of encodings keyed by a canonical hash of the
+// query graph, and an observability layer (request counters, per-backend
+// latency histograms, cache hit/miss statistics).
 //
 // This follows the real-time framing of the related work on hybrid
 // quantum-classical database optimisation: the encode→solve→decode
-// pipeline runs inside a daemon (cmd/qjoind) under bounded concurrency,
-// and repeated query shapes skip the encoding step entirely via the
-// cache — for the small instances NISQ hardware admits, building the
-// MILP→BILP→QUBO encoding dominates request latency, so caching it is the
-// headline performance win.
+// pipeline runs inside a daemon (cmd/qjoind) under bounded concurrency.
+// Building the MILP→BILP→QUBO encoding costs milliseconds, while exact
+// DP on the same 10–12-relation instance costs a tenth of one, so the
+// cache holds prepared canonical instances and builds an entry's QUBO
+// only on first use by a backend that reads it: classical requests never
+// pay for it, and repeated query shapes pay at most once.
 package service
 
 import (
@@ -73,13 +74,25 @@ type HybridParams struct {
 // Backend solves one QUBO-encoded join ordering problem. Implementations
 // must honour context cancellation in their long-running loops and must be
 // safe for concurrent use: the worker pool calls Solve from many
-// goroutines against shared backend values.
+// goroutines against shared backend values. The service builds enc's
+// QUBO before calling Solve, so every model field is set; only the
+// built-in dp and greedy backends get an unbuilt encoding (queryReader).
 type Backend interface {
 	// Name is the stable identifier clients select the backend by.
 	Name() string
 	// Solve returns the best valid decoded join order the backend found,
 	// or an error (wrapping ctx.Err() on expiry) when none was found.
 	Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error)
+}
+
+// queryReader marks the built-in backends that read only an encoding's
+// Query and optimum memo (dp, greedy): the service hands them the prepared
+// encoding without building its QUBO. The method is unexported, so a
+// wrapper (fault injection, retries, a breaker) never inherits the mark
+// and always gets a built encoding.
+type queryReader interface {
+	Backend
+	readsQueryOnly()
 }
 
 // QueryBackend is implemented by backends that plan directly over the join

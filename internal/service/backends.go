@@ -393,13 +393,16 @@ func (milpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*co
 // dpBackend is the exact classical baseline: DP over relation subsets.
 // The optimum is memoised on the core.Encoding, so a cached encoding is
 // swept once, not once per request; the span of the solve records
-// optimum=reused|computed.
+// optimum=reused|computed. It reads no QUBO, so its encodings stay
+// unbuilt (queryReader).
 type dpBackend struct{}
 
 // NewDPBackend builds the exact dynamic-programming backend.
 func NewDPBackend() Backend { return dpBackend{} }
 
 func (dpBackend) Name() string { return "dp" }
+
+func (dpBackend) readsQueryOnly() {}
 
 func (dpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
 	// The subset sweep polls the context, so a request deadline interrupts
@@ -412,13 +415,16 @@ func (dpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core
 	return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, nil
 }
 
-// greedyBackend is the min-intermediate-cardinality greedy baseline.
+// greedyBackend is the min-intermediate-cardinality greedy baseline. It
+// reads no QUBO, so its encodings stay unbuilt (queryReader).
 type greedyBackend struct{}
 
 // NewGreedyBackend builds the greedy baseline backend.
 func NewGreedyBackend() Backend { return greedyBackend{} }
 
 func (greedyBackend) Name() string { return "greedy" }
+
+func (greedyBackend) readsQueryOnly() {}
 
 func (greedyBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
 	if err := ctx.Err(); err != nil {

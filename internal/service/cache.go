@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -14,7 +13,6 @@ import (
 
 	"quantumjoin/internal/core"
 	"quantumjoin/internal/join"
-	"quantumjoin/internal/obs"
 )
 
 // EncodeSpec pins down every encoding-relevant request option; together
@@ -300,10 +298,14 @@ func Fingerprint(q *join.Query, spec EncodeSpec) (key string, perm []int) {
 	return hex.EncodeToString(sum[:]), perm
 }
 
-// EncodingCache is a thread-safe LRU cache of QUBO encodings keyed by
-// Fingerprint. Encoding dominates request latency for the classical and
-// sampling backends, so repeated query shapes — the common case for
-// parameterised production queries — skip it entirely.
+// EncodingCache is a thread-safe LRU cache of encodings keyed by
+// Fingerprint. An entry is a prepared core.Encoding of the canonical
+// instance: the canonical query, the encoding options, the exact logical-
+// qubit count and the per-encoding memos (classical optimum, minor
+// embedding). Its MILP → BILP → QUBO model is built on first use by a
+// backend that reads it (see buildFor), so an entry that only classical
+// backends ever touch holds no model at all, and repeated query shapes pay
+// for a build at most once.
 type EncodingCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -336,25 +338,22 @@ func NewEncodingCache(capacity int) *EncodingCache {
 	}
 }
 
-// Encoding returns the encoding of the canonical form of q under spec,
-// building and inserting it on a miss, along with the cache key (the
-// WL-hash fingerprint, also the cluster routing key), the relation
+// Encoding returns the prepared encoding of the canonical form of q under
+// spec, preparing and inserting it on a miss, along with the cache key
+// (the WL-hash fingerprint, also the cluster routing key), the relation
 // permutation (perm[original] = canonical) needed to map decoded orders
 // back, and whether the call was a cache hit. Concurrent misses on the
-// same key may encode twice; the last insert wins, which is harmless
-// because all canonical encodings for a key are identical.
+// same key may both prepare; the first insert wins and every caller gets
+// the resident encoding, so a key's QUBO is built at most once and its
+// memos are not split across copies.
+//
+// Neither a hit nor a miss opens a span: a miss only validates and counts
+// qubits, in microseconds, and the "encode" span opens where a backend's
+// first use builds the QUBO. The outcome is visible as the root span's
+// cache_hit attribute.
 func (c *EncodingCache) Encoding(q *join.Query, spec EncodeSpec) (enc *core.Encoding, key string, perm []int, hit bool, err error) {
-	return c.EncodingContext(context.Background(), q, spec)
-}
-
-// EncodingContext is Encoding with tracing: a cache miss opens an
-// "encode" span (with the MILP/BILP/QUBO stage spans as children) in the
-// trace carried by ctx. A hit opens no span — nothing was encoded, and a
-// nanosecond map lookup as a span would be pure trace noise; the hit is
-// visible as the root span's cache_hit attribute instead.
-func (c *EncodingCache) EncodingContext(ctx context.Context, q *join.Query, spec EncodeSpec) (enc *core.Encoding, key string, perm []int, hit bool, err error) {
 	fp := fpPool.Get().(*fingerprinter)
-	enc, key, p, hit, err := c.encodingScratch(ctx, q, spec, fp)
+	enc, key, p, hit, err := c.encodingScratch(q, spec, fp)
 	if p != nil {
 		perm = append([]int(nil), p...)
 	}
@@ -362,12 +361,12 @@ func (c *EncodingCache) EncodingContext(ctx context.Context, q *join.Query, spec
 	return enc, key, perm, hit, err
 }
 
-// encodingScratch is the allocation-free core of EncodingContext: the
+// encodingScratch is the allocation-free core of Encoding: the
 // fingerprint runs in fp's reusable buffers, the lookup keys on the raw
 // SHA-256 (no hex encoding), and a hit returns the entry's interned hex
 // key. The returned perm aliases fp.perm — valid only until fp's next
 // use, so request-scoped callers must hold their own fingerprinter.
-func (c *EncodingCache) encodingScratch(ctx context.Context, q *join.Query, spec EncodeSpec, fp *fingerprinter) (enc *core.Encoding, key string, perm []int, hit bool, err error) {
+func (c *EncodingCache) encodingScratch(q *join.Query, spec EncodeSpec, fp *fingerprinter) (enc *core.Encoding, key string, perm []int, hit bool, err error) {
 	spec = spec.withDefaults()
 	sum, perm := fp.sum(q, spec)
 	if enc, key, ok := c.get(sum); ok {
@@ -376,22 +375,17 @@ func (c *EncodingCache) encodingScratch(ctx context.Context, q *join.Query, spec
 	}
 	c.misses.Add(1)
 	key = hex.EncodeToString(sum[:])
-	ectx, span := obs.StartSpan(ctx, "encode")
 	cq := canonicalize(q, perm)
-	enc, err = core.EncodeContext(ectx, cq, core.Options{
+	enc, err = core.Prepare(cq, core.Options{
 		Thresholds:   core.DefaultThresholds(cq, spec.Thresholds),
 		Omega:        spec.Omega,
 		LogObjective: spec.LogObjective,
 		Compact:      spec.Compact,
 	})
 	if err != nil {
-		span.End(err)
 		return nil, key, nil, false, err
 	}
-	span.SetAttr("qubits", enc.NumQubits())
-	span.End(nil)
-	c.put(sum, key, enc)
-	return enc, key, perm, false, nil
+	return c.put(sum, key, enc), key, perm, false, nil
 }
 
 func (c *EncodingCache) get(sum [32]byte) (*core.Encoding, string, bool) {
@@ -406,13 +400,14 @@ func (c *EncodingCache) get(sum [32]byte) (*core.Encoding, string, bool) {
 	return e.enc, e.hexKey, true
 }
 
-func (c *EncodingCache) put(sum [32]byte, hexKey string, enc *core.Encoding) {
+// put inserts enc under sum unless a concurrent miss got there first,
+// and returns the resident encoding.
+func (c *EncodingCache) put(sum [32]byte, hexKey string, enc *core.Encoding) *core.Encoding {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[sum]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).enc = enc
-		return
+		return el.Value.(*cacheEntry).enc
 	}
 	c.items[sum] = c.ll.PushFront(&cacheEntry{sum: sum, hexKey: hexKey, enc: enc})
 	for c.ll.Len() > c.capacity {
@@ -420,6 +415,7 @@ func (c *EncodingCache) put(sum [32]byte, hexKey string, enc *core.Encoding) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).sum)
 	}
+	return enc
 }
 
 // Len returns the number of cached encodings.

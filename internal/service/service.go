@@ -239,7 +239,7 @@ func (s *Service) Warm(ctx context.Context, req *Request) (key string, hit bool,
 	if req == nil || req.Query == nil {
 		return "", false, fmt.Errorf("service: warm: missing query: %w", ErrBadRequest)
 	}
-	_, key, _, hit, err = s.cache.EncodingContext(ctx, req.Query, req.Spec)
+	_, key, _, hit, err = s.cache.Encoding(req.Query, req.Spec)
 	if err != nil {
 		return "", false, fmt.Errorf("service: warm: encoding failed: %v: %w", err, ErrBadRequest)
 	}
@@ -356,19 +356,27 @@ func (s *Service) solveInto(ctx context.Context, backend Backend, req *Request, 
 		return s.solveQueryInto(ctx, qb, req, sc, resp)
 	}
 
-	// On a miss the cache opens the "encode" span; a hit is recorded as
-	// an attribute on the active (root) span rather than a noise span.
-	enc, key, perm, hit, err := s.cache.encodingScratch(ctx, req.Query, req.Spec, &sc.fp)
+	// A hit is recorded as an attribute on the active (root) span rather
+	// than a noise span; the "encode" span opens only where buildFor
+	// builds the QUBO.
+	enc, key, perm, hit, err := s.cache.encodingScratch(req.Query, req.Spec, &sc.fp)
 	obs.ActiveSpan(ctx).SetAttrBool("cache_hit", hit)
 	if err != nil {
 		return fmt.Errorf("service: encoding failed: %v: %w", err, ErrBadRequest)
 	}
 
+	quboAttr, err := buildFor(ctx, backend, enc)
 	bm := s.metrics.Backend(backend.Name())
 	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
 	solveSpan.SetAttrStr("backend", backend.Name())
+	if quboAttr != "" {
+		solveSpan.SetAttrStr("qubo", quboAttr)
+	}
 	solveStart := time.Now()
-	d, err := s.safeSolve(solveCtx, backend, enc, req.Params)
+	var d *core.Decoded
+	if err == nil {
+		d, err = s.safeSolve(solveCtx, backend, enc, req.Params)
+	}
 	if err == nil {
 		// Never trust a backend's result structurally: an unreliable QPU
 		// (or a fault injector standing in for one) can return corrupted
@@ -451,6 +459,23 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 	}
 	decodeSpan.End(nil)
 	return nil
+}
+
+// buildFor builds enc's QUBO before backend solves it, unless backend
+// reads only the query (queryReader). It returns the solve span's qubo
+// attribute — "computed" when the QUBO was not built yet, so this request
+// ran the build or waited on a concurrent one; "reused" when it was; ""
+// when no build was needed — and the build error, which the caller treats
+// as a failure of the backend: eligible for degradation, never a 400.
+func buildFor(ctx context.Context, backend Backend, enc *core.Encoding) (string, error) {
+	if _, ok := backend.(queryReader); ok {
+		return "", nil
+	}
+	attr := reusedAttr(enc.Built())
+	if err := enc.Build(ctx); err != nil {
+		return attr, fmt.Errorf("service: building the QUBO encoding failed: %w", err)
+	}
+	return attr, nil
 }
 
 // safeSolve invokes the backend with panic containment: one misbehaving
