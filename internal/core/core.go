@@ -152,11 +152,14 @@ type Encoding struct {
 	cjmax  []float64
 	qubits int
 
-	// Build runs the MILP → BILP → QUBO build once and keeps its error;
-	// built turns true when it has run.
-	buildOnce sync.Once
-	buildErr  error
-	built     atomic.Bool
+	// Build runs the MILP → BILP → QUBO build until one run ends without
+	// being cut short by its context, and keeps that run's error; built
+	// turns true then. building is non-nil while a run is in progress
+	// and is closed when it ends.
+	buildMu  sync.Mutex
+	building chan struct{}
+	buildErr error
+	built    atomic.Bool
 
 	// Memoised classical optimum of Query (see OptimalContext in
 	// decode.go) and minor embedding of QUBO (see Embedding).
@@ -230,6 +233,7 @@ func Encode(q *join.Query, opts Options) (*Encoding, error) {
 // EncodeContext is Encode with per-stage tracing: Prepare followed by
 // Build, so when ctx carries an active obs span the build runs under an
 // "encode" span whose children record the model size each stage produced.
+// Like Build, it fails with ctx's error when ctx ends before a stage.
 func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding, error) {
 	e, err := Prepare(q, opts)
 	if err != nil {
@@ -275,31 +279,109 @@ func Prepare(q *join.Query, opts Options) (*Encoding, error) {
 	return e, nil
 }
 
-// Build fills MILP, BILP, QUBO, Infos and the penalties. Only the first
-// call builds; every call returns that build's error, and concurrent
-// callers wait for it. The build opens an "encode" span in the trace ctx
-// carries, with encode.milp, encode.bilp and encode.qubo children. It does
-// not poll ctx: a build is a few milliseconds, and an error kept by the
-// latch must not depend on one request's deadline.
+// Build fills MILP, BILP, QUBO, Infos and the penalties. The first call
+// that runs to the end builds; every later call returns that build's
+// error, and concurrent callers wait for the running build. The build
+// opens an "encode" span in the trace ctx carries, with encode.milp,
+// encode.bilp and encode.qubo children.
+//
+// A build is not cheap: at 20 relations it takes 6–13 ms for ~2,000
+// qubits and 0.24–0.32 s for an ~11,250-qubit clique, almost all of it in
+// the QUBO stage (DESIGN.md, "Encoding cache"). So Build polls ctx before
+// each stage, and a waiter gives up when its ctx ends. A build cut short
+// by ctx returns the ctx error wrapped, keeps no partial model and latches
+// nothing, so the next caller with a live ctx builds again; an encoding
+// error is kept and returned to every caller. The QUBO stage itself does
+// not poll, so callers under a deadline should not start a build they
+// cannot afford (hybrid's stage 2 predicts its cost from NumQubits).
 func (e *Encoding) Build(ctx context.Context) error {
-	e.buildOnce.Do(func() {
-		ctx, span := obs.StartSpan(ctx, "encode")
-		e.buildErr = e.build(ctx)
-		if e.buildErr == nil {
-			span.SetAttr("qubits", e.QUBO.N())
+	for {
+		if e.built.Load() {
+			return e.buildErr
 		}
-		span.End(e.buildErr)
-		e.built.Store(true)
-	})
-	return e.buildErr
+		e.buildMu.Lock()
+		if e.built.Load() {
+			e.buildMu.Unlock()
+			return e.buildErr
+		}
+		if wait := e.building; wait != nil {
+			e.buildMu.Unlock()
+			select {
+			case <-wait:
+				// Built, or that run was cut short: look again.
+			case <-ctx.Done():
+				return fmt.Errorf("core: gave up waiting for the QUBO build: %w", ctx.Err())
+			}
+			continue
+		}
+		done := make(chan struct{})
+		e.building = done
+		e.buildMu.Unlock()
+		return e.run(ctx, done)
+	}
 }
 
-// Built reports whether Build has run (successfully or not).
+// run is one build under ctx. It latches the outcome unless ctx cut the
+// build short, and then wakes the callers waiting on done. A build that
+// panics latches nothing either, so its waiters never hang on it.
+func (e *Encoding) run(ctx context.Context, done chan struct{}) (err error) {
+	finished := false
+	defer func() {
+		e.buildMu.Lock()
+		if finished && (err == nil || ctx.Err() == nil) {
+			e.buildErr = err
+			e.built.Store(true)
+		} else {
+			e.dropModel()
+		}
+		e.building = nil
+		close(done)
+		e.buildMu.Unlock()
+	}()
+	err = e.buildTraced(ctx)
+	finished = true
+	return err
+}
+
+// buildTraced runs build under the "encode" span.
+func (e *Encoding) buildTraced(ctx context.Context) error {
+	ctx, span := obs.StartSpan(ctx, "encode")
+	err := e.build(ctx)
+	if err == nil {
+		span.SetAttr("qubits", e.QUBO.N())
+	}
+	span.End(err)
+	return err
+}
+
+// dropModel clears what a build cut short had filled in, so the next
+// build starts from a prepared encoding again.
+func (e *Encoding) dropModel() {
+	e.MILP, e.BILP, e.QUBO = nil, nil, nil
+	e.Infos, e.tii, e.tio = nil, nil, nil
+	e.PenaltyA, e.PenaltyB = 0, 0
+}
+
+// buildPoll returns ctx's error, wrapped with the stage it stops the
+// build before, or nil while ctx is live.
+func buildPoll(ctx context.Context, stage string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: QUBO build stopped before its %s stage: %w", stage, err)
+	}
+	return nil
+}
+
+// Built reports whether a Build has run to the end, successfully or not.
+// A build cut short by its context does not count.
 func (e *Encoding) Built() bool { return e.built.Load() }
 
-// build runs the three encoding stages of §3 under per-stage spans.
+// build runs the three encoding stages of §3 under per-stage spans,
+// polling ctx before each.
 func (e *Encoding) build(ctx context.Context) error {
 	opts := e.Opts
+	if err := buildPoll(ctx, "MILP"); err != nil {
+		return err
+	}
 	_, milpSpan := obs.StartSpan(ctx, "encode.milp")
 	err := e.buildMILP()
 	if err == nil {
@@ -311,6 +393,9 @@ func (e *Encoding) build(ctx context.Context) error {
 		return err
 	}
 
+	if err := buildPoll(ctx, "BILP"); err != nil {
+		return err
+	}
 	_, bilpSpan := obs.StartSpan(ctx, "encode.bilp")
 	eq, err := e.MILP.ToEquality(opts.Omega)
 	if err == nil {
@@ -330,6 +415,9 @@ func (e *Encoding) build(ctx context.Context) error {
 	}
 	e.PenaltyA, e.PenaltyB = a, b
 
+	if err := buildPoll(ctx, "QUBO"); err != nil {
+		return err
+	}
 	_, quboSpan := obs.StartSpan(ctx, "encode.qubo")
 	qb, err := eq.ToQUBO(a, b, opts.Omega)
 	if err == nil {

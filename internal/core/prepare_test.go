@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"quantumjoin/internal/join"
 	"quantumjoin/internal/obs"
@@ -279,5 +283,113 @@ func TestPrepareCJMaxPrefixSums(t *testing.T) {
 				t.Fatalf("n=%d: DefaultThresholds = %v, reference threshold %d is %v", n, got, i, want)
 			}
 		}
+	}
+}
+
+// pollCtx answers its first live calls to Err as a live context and every
+// later one as cancelled; block, when set, holds the call that would
+// report the cancellation until it is closed. It stands in for a deadline
+// that passes between two stages of a build.
+type pollCtx struct {
+	context.Context
+	live  atomic.Int32
+	block chan struct{}
+}
+
+func (c *pollCtx) Err() error {
+	if c.live.Add(-1) >= 0 {
+		return nil
+	}
+	if c.block != nil {
+		<-c.block
+	}
+	return context.Canceled
+}
+
+// cutShortQuery is the instance of the cut-short build tests.
+func cutShortQuery(t *testing.T) (*join.Query, Options) {
+	t.Helper()
+	q, err := querygen.Generate(querygen.Config{Relations: 7, Graph: querygen.Cycle}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, Options{Thresholds: DefaultThresholds(q, 2)}
+}
+
+// TestPrepareBuildCutShort: a build whose context ends before the MILP,
+// the BILP or the QUBO stage returns the context's error, keeps no part
+// of the model and latches nothing; a later Build with a live context
+// builds exactly what Encode builds.
+func TestPrepareBuildCutShort(t *testing.T) {
+	q, opts := cutShortQuery(t)
+	eager, err := Encode(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for live, stage := range []string{"MILP", "BILP", "QUBO"} {
+		p, err := Prepare(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &pollCtx{Context: context.Background()}
+		ctx.live.Store(int32(live))
+		err = p.Build(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut before %s: Build = %v, want the context's error", stage, err)
+		}
+		if p.Built() || p.MILP != nil || p.BILP != nil || p.QUBO != nil || p.Infos != nil || p.PenaltyA != 0 {
+			t.Fatalf("cut before %s: the encoding kept a partial model (built %v)", stage, p.Built())
+		}
+		if err := p.Build(context.Background()); err != nil {
+			t.Fatalf("cut before %s: the next Build failed: %v", stage, err)
+		}
+		if !p.Built() {
+			t.Fatalf("cut before %s: a completed Build left Built false", stage)
+		}
+		if !reflect.DeepEqual(p.MILP, eager.MILP) || !reflect.DeepEqual(p.BILP, eager.BILP) ||
+			!reflect.DeepEqual(p.QUBO, eager.QUBO) || !reflect.DeepEqual(p.Infos, eager.Infos) ||
+			!reflect.DeepEqual(p.tii, eager.tii) || !reflect.DeepEqual(p.tio, eager.tio) ||
+			p.PenaltyA != eager.PenaltyA || p.PenaltyB != eager.PenaltyB {
+			t.Fatalf("cut before %s: the rebuilt model differs from Encode's", stage)
+		}
+	}
+}
+
+// TestPrepareBuildWaiterGivesUp: a caller that finds a build running
+// waits for it only as long as its own context lives, and a build cut
+// short after that hands the next live caller a fresh build.
+func TestPrepareBuildWaiterGivesUp(t *testing.T) {
+	q, opts := cutShortQuery(t)
+	p, err := Prepare(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first caller polls once, then stalls in its second poll (before
+	// the BILP stage) until release is closed, and is cut short there.
+	release := make(chan struct{})
+	first := &pollCtx{Context: context.Background(), block: release}
+	first.live.Store(1)
+	firstErr := make(chan error, 1)
+	go func() { firstErr <- p.Build(first) }()
+	for first.live.Load() >= 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := p.Build(gone); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a waiter whose context ended: Build = %v, want its context's error", err)
+	}
+	waiterErr := make(chan error, 1)
+	go func() { waiterErr <- p.Build(context.Background()) }()
+	close(release)
+	if err := <-firstErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the stalled build: Build = %v, want its context's error", err)
+	}
+	if err := <-waiterErr; err != nil {
+		t.Fatalf("the live waiter: Build = %v, want a fresh build", err)
+	}
+	if !p.Built() || p.QUBO == nil || p.QUBO.N() != p.NumQubits() {
+		t.Fatal("the live waiter's build did not complete")
 	}
 }

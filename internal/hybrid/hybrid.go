@@ -6,11 +6,14 @@
 // the deadline.
 //
 // The orchestration is staged: the classical stage (greedy, then DP when
-// the instance is small enough) yields an instant feasible incumbent. A DP
-// plan is the exact optimum and ends the request; otherwise — after a
-// hedge delay — the quantum-simulated portfolio launches warm-started from
-// that incumbent and improves the answer anytime until the deadline. The
-// final plan is never worse than the classical incumbent.
+// the instance is small enough) yields an instant feasible incumbent. It
+// reads only the query, so the encoding's MILP → BILP → QUBO build is not
+// paid for it. A DP plan is the exact optimum and ends the request;
+// otherwise — after a hedge delay — the QUBO is built, if the deadline
+// leaves room for the build, and the quantum-simulated portfolio launches
+// warm-started from that incumbent and improves the answer anytime until
+// the deadline. The final plan is never worse than the classical
+// incumbent.
 //
 // Every candidate is validated and re-scored by true plan cost (Query.Cost
 // of the decoded order), never by QUBO energy, and per-backend win/loss

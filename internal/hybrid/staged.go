@@ -41,11 +41,15 @@ func dpDecision(ctx context.Context, c Candidate, err error) string {
 }
 
 // staged runs the hedged two-stage orchestration: the classical stage
-// produces an instant feasible incumbent. When DP proved that incumbent
-// optimal the request returns at once. Otherwise — after the hedge delay,
-// and only if enough deadline remains — the quantum-simulated portfolio
-// launches warm-started from that incumbent, improving the answer anytime
-// until the deadline. The final plan is never worse than the classical incumbent.
+// produces an instant feasible incumbent from the query alone. When DP
+// proved that incumbent optimal the request returns at once. Otherwise —
+// after the hedge delay, and only if enough deadline remains — the QUBO
+// is built (unless already built, and only if its predicted cost leaves
+// the racers minBudget; else hybrid_stage2=build_over_budget) and the
+// quantum-simulated portfolio launches warm-started from that incumbent,
+// improving the answer anytime until the deadline. A request that ends
+// before stage 2 leaves the encoding unbuilt. The final plan is never
+// worse than the classical incumbent.
 // Open-breaker backends were already filtered from the portfolio; the
 // classical stage keeps working regardless, so tripped quantum backends
 // degrade quality, never availability.
@@ -100,33 +104,12 @@ func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Para
 		obs.ActiveSpan(ctx).SetAttrStr("hybrid_stage2", "skipped_dp_optimal")
 		obs.Logger(ctx).DebugContext(ctx, "hybrid stage 2 skipped: dp proved the incumbent optimal")
 	} else if len(portfolio) > 0 && b.hedge(ctx, p) && b.budgetLeft(ctx) {
-		warm := warmState(enc, incumbent)
-		results := make(chan Candidate, len(portfolio))
-		for _, name := range portfolio {
-			be, _ := b.cfg.Registry.Get(name)
-			spanCtx, span := obs.StartSpan(ctx, "racer."+name)
-			span.SetAttr("warm_start", warm != nil)
-			go func(name string, be service.Backend) {
-				start := time.Now()
-				d, err := be.Solve(spanCtx, enc, subParams(p, warm))
-				c := vet(enc, name, d, err, time.Since(start))
-				span.SetAttr("valid", c.Decoded != nil)
-				endRacerSpan(ctx, span, err)
-				results <- c
-			}(name, be)
-		}
-		// Anytime collection: candidates are folded in as they finish,
-		// and the deadline ends the wait even if a backend is stuck in a
-		// non-interruptible section (the buffered channel lets stragglers
-		// finish their send and exit on their own).
-	collect:
-		for collected := 0; collected < len(portfolio); collected++ {
-			select {
-			case c := <-results:
-				candidates = append(candidates, c)
-			case <-ctx.Done():
-				break collect
-			}
+		// The racers and the warm start read the QUBO, so it is built
+		// only here, once the hedge and the budget have let stage 2 go.
+		if skip := b.buildStage2(ctx, enc); skip != "" {
+			obs.ActiveSpan(ctx).SetAttrStr("hybrid_stage2", skip)
+		} else {
+			candidates = append(candidates, b.race(ctx, enc, p, portfolio, incumbent)...)
 		}
 	}
 	if len(candidates) == 0 && skippedOpen > 0 {
@@ -136,6 +119,42 @@ func (b *Backend) staged(ctx context.Context, enc *core.Encoding, p service.Para
 			skippedOpen, service.ErrUnavailable)
 	}
 	return b.arbitrate(ctx, candidates)
+}
+
+// race launches the portfolio on the built encoding, warm-started from
+// the incumbent, and collects the racers' candidates until every racer
+// finished or the deadline passed.
+func (b *Backend) race(ctx context.Context, enc *core.Encoding, p service.Params, portfolio []string, incumbent *Candidate) []Candidate {
+	warm := warmState(enc, incumbent)
+	var candidates []Candidate
+	results := make(chan Candidate, len(portfolio))
+	for _, name := range portfolio {
+		be, _ := b.cfg.Registry.Get(name)
+		spanCtx, span := obs.StartSpan(ctx, "racer."+name)
+		span.SetAttr("warm_start", warm != nil)
+		go func(name string, be service.Backend) {
+			start := time.Now()
+			d, err := be.Solve(spanCtx, enc, subParams(p, warm))
+			c := vet(enc, name, d, err, time.Since(start))
+			span.SetAttr("valid", c.Decoded != nil)
+			endRacerSpan(ctx, span, err)
+			results <- c
+		}(name, be)
+	}
+	// Anytime collection: candidates are folded in as they finish, and
+	// the deadline ends the wait even if a backend is stuck in a
+	// non-interruptible section (the buffered channel lets stragglers
+	// finish their send and exit on their own).
+collect:
+	for collected := 0; collected < len(portfolio); collected++ {
+		select {
+		case c := <-results:
+			candidates = append(candidates, c)
+		case <-ctx.Done():
+			break collect
+		}
+	}
+	return candidates
 }
 
 // endRacerSpan closes a portfolio racer's span, recording why a racer
@@ -187,6 +206,45 @@ func (b *Backend) hedge(ctx context.Context, p service.Params) bool {
 	case <-timer.C:
 		return true
 	}
+}
+
+// buildCostPerQubit2 is the predicted cost of building an encoding's
+// QUBO per squared logical qubit: the build's quadratic penalty terms
+// dominate it. At 20 relations on a 2-vCPU host a build took 1.6–3.2 ns
+// per qubit² (6–13 ms for ~2,000 qubits, 0.24–0.32 s for an ~11,250-qubit
+// clique; DESIGN.md, "Encoding cache"), and up to 4.8 ns in another run.
+// The QUBO stage, nearly all of the build, does not poll its context, so
+// the prediction sits at the top of that range: a build predicted to fit
+// then fits on a loaded host too, and one that would not fit is not
+// started.
+const buildCostPerQubit2 = 5 * time.Nanosecond
+
+// buildStage2 builds enc's QUBO, which the portfolio racers and the
+// warm start read, and returns why stage 2 must not launch, or "" when it
+// can. A cold build that its predicted cost (NumQubits, exact without a
+// build, squared times buildCostPerQubit2) says would leave less than
+// minBudget of the deadline is not started: build_over_budget. So is a
+// launch that a build which ran long has left without minBudget. A build
+// the deadline cuts short keeps nothing, so a later request with more
+// time builds afresh; a build that fails outright is build_failed.
+func (b *Backend) buildStage2(ctx context.Context, enc *core.Encoding) string {
+	if deadline, ok := ctx.Deadline(); ok && !enc.Built() {
+		n := time.Duration(enc.NumQubits())
+		if time.Until(deadline)-minBudget < n*n*buildCostPerQubit2 {
+			return "build_over_budget"
+		}
+	}
+	if err := service.BuildQUBO(ctx, enc); err != nil {
+		if ctx.Err() != nil {
+			return "build_over_budget"
+		}
+		obs.Logger(ctx).WarnContext(ctx, "hybrid stage 2 skipped: the QUBO build failed", "error", err)
+		return "build_failed"
+	}
+	if !b.budgetLeft(ctx) {
+		return "build_over_budget"
+	}
+	return ""
 }
 
 // budgetLeft reports whether enough deadline remains to be worth starting

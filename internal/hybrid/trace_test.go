@@ -132,17 +132,20 @@ func TestHybridTraceEndToEnd(t *testing.T) {
 		t.Errorf("root span = %q, want optimize", root.Name)
 	}
 
-	// Encode stages (cold cache: the full MILP → BILP → QUBO chain ran).
-	for _, name := range []string{"encode", "encode.milp", "encode.bilp", "encode.qubo"} {
-		if findSpan(root, name) == nil {
-			t.Errorf("trace is missing span %q", name)
-		}
-	}
-	// The classical stage and one child span per racer, under the solve
-	// span.
+	// The classical stage, the encode stages and one child span per
+	// racer, under the solve span: on a cold cache the hybrid backend
+	// built the full MILP → BILP → QUBO chain before the launch.
 	solve := findSpan(root, "solve")
 	if solve == nil {
 		t.Fatal("trace is missing the solve span")
+	}
+	for _, name := range []string{"encode", "encode.milp", "encode.bilp", "encode.qubo"} {
+		if findSpan(solve, name) == nil {
+			t.Errorf("solve span is missing span %q", name)
+		}
+	}
+	if got := solve.Attrs["qubo"]; got != "computed" {
+		t.Errorf("solve span qubo = %v, want computed", got)
 	}
 	if findSpan(solve, "classical.greedy") == nil {
 		t.Error("trace is missing classical.greedy")

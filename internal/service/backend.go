@@ -74,25 +74,18 @@ type HybridParams struct {
 // Backend solves one QUBO-encoded join ordering problem. Implementations
 // must honour context cancellation in their long-running loops and must be
 // safe for concurrent use: the worker pool calls Solve from many
-// goroutines against shared backend values. The service builds enc's
-// QUBO before calling Solve, so every model field is set; only the
-// built-in dp and greedy backends get an unbuilt encoding (queryReader).
+// goroutines against shared backend values. The service hands Solve the
+// cached encoding prepared but possibly unbuilt: Query, Opts, NumQubits
+// and the memos are always set, while a backend that reads the model
+// (MILP, BILP, QUBO, Infos, decoding) calls BuildQUBO first. Wrappers
+// (fault injection, retries, a breaker) pass the encoding through
+// unchanged, so the inner backend builds for itself.
 type Backend interface {
 	// Name is the stable identifier clients select the backend by.
 	Name() string
 	// Solve returns the best valid decoded join order the backend found,
 	// or an error (wrapping ctx.Err() on expiry) when none was found.
 	Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error)
-}
-
-// queryReader marks the built-in backends that read only an encoding's
-// Query and optimum memo (dp, greedy): the service hands them the prepared
-// encoding without building its QUBO. The method is unexported, so a
-// wrapper (fault injection, retries, a breaker) never inherits the mark
-// and always gets a built encoding.
-type queryReader interface {
-	Backend
-	readsQueryOnly()
 }
 
 // QueryBackend is implemented by backends that plan directly over the join
@@ -111,7 +104,8 @@ type QueryBackend interface {
 // BatchSolver is implemented by backends with an amortised many-instance
 // fast path (shared scratch buffers, one array pass over the jobs). The
 // batch endpoint calls SolveBatch with the deduplicated instances of one
-// envelope; backends without it are solved per instance. Both returned
+// envelope, prepared as for Solve; backends without it are solved per
+// instance. Both returned
 // slices are index-aligned with encs, and results must be identical to
 // calling Solve per instance with the same Params — the batch path is an
 // allocation optimisation, never a semantic change.

@@ -137,6 +137,42 @@ func (b *annealBackend) embedding(ctx context.Context, enc *core.Encoding, seed 
 	return emb, false, nil
 }
 
+// BuildQUBO builds enc's QUBO for a backend that reads it (every model
+// field of enc is set once it returns nil) and records on ctx's active
+// span qubo=computed when enc was unbuilt as the call reached it (the call
+// ran the build, or waited on a concurrent one) or qubo=reused otherwise.
+// The QUBO-reading built-in backends call it first in Solve and
+// SolveBatch; dp and greedy read only enc.Query and the optimum memo and
+// never call it, so their cache entries stay unbuilt. A build error fails
+// the solve like any backend error; a build that ctx cut short leaves enc
+// unbuilt for the next request.
+func BuildQUBO(ctx context.Context, enc *core.Encoding) error {
+	obs.ActiveSpan(ctx).SetAttrStr("qubo", reusedAttr(enc.Built()))
+	if err := enc.Build(ctx); err != nil {
+		return fmt.Errorf("service: building the QUBO encoding failed: %w", err)
+	}
+	return nil
+}
+
+// buildQUBOs is BuildQUBO over the instances of a batch that have no
+// error yet: a failed build sets errs[i], and the active span says
+// qubo=computed when any instance it built was unbuilt.
+func buildQUBOs(ctx context.Context, encs []*core.Encoding, errs []error) {
+	built, reused := false, true
+	for i, enc := range encs {
+		if errs[i] != nil {
+			continue
+		}
+		built, reused = true, reused && enc.Built()
+		if err := enc.Build(ctx); err != nil {
+			errs[i] = fmt.Errorf("service: building the QUBO encoding failed: %w", err)
+		}
+	}
+	if built {
+		obs.ActiveSpan(ctx).SetAttrStr("qubo", reusedAttr(reused))
+	}
+}
+
 // reusedAttr is the span value of a memo decision: the embedding or the
 // optimum came from the encoding's memo, or was computed.
 func reusedAttr(reused bool) string {
@@ -150,6 +186,9 @@ func (b *annealBackend) Solve(ctx context.Context, enc *core.Encoding, p Params)
 	reads := p.Reads
 	if reads <= 0 {
 		reads = 500
+	}
+	if err := BuildQUBO(ctx, enc); err != nil {
+		return nil, err
 	}
 	emb, reused, err := b.embedding(ctx, enc, p.Seed)
 	if err != nil {
@@ -174,9 +213,9 @@ func (b *annealBackend) Solve(ctx context.Context, enc *core.Encoding, p Params)
 	return bestValid(enc, out.Assignments)
 }
 
-// SolveBatch implements BatchSolver: every instance takes its embedding
-// from the same memo as Solve, then the whole batch runs through
-// anneal.Device.SampleBatchContext in one array pass, sharing the ICE
+// SolveBatch implements BatchSolver: every instance is built and takes
+// its embedding from the same memo as Solve, then the whole batch runs
+// through anneal.Device.SampleBatchContext in one array pass, sharing the ICE
 // perturbation scratch across each job's reads instead of allocating a
 // problem copy per read. Results are bit-identical to per-instance Solve.
 // The batch span records embedding=computed when any instance ran the
@@ -184,10 +223,14 @@ func (b *annealBackend) Solve(ctx context.Context, enc *core.Encoding, p Params)
 func (b *annealBackend) SolveBatch(ctx context.Context, encs []*core.Encoding, ps []Params) ([]*core.Decoded, []error) {
 	ds := make([]*core.Decoded, len(encs))
 	errs := make([]error, len(encs))
+	buildQUBOs(ctx, encs, errs)
 	jobs := make([]anneal.BatchJob, 0, len(encs))
 	idx := make([]int, 0, len(encs))
 	allReused := true
 	for i, enc := range encs {
+		if errs[i] != nil {
+			continue
+		}
 		emb, reused, err := b.embedding(ctx, enc, ps[i].Seed)
 		if err != nil {
 			errs[i] = err
@@ -232,6 +275,9 @@ func NewTabuBackend() Backend { return tabuBackend{} }
 func (tabuBackend) Name() string { return "tabu" }
 
 func (tabuBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
+	if err := BuildQUBO(ctx, enc); err != nil {
+		return nil, err
+	}
 	restarts := p.Reads
 	if restarts <= 0 {
 		restarts = 8
@@ -249,25 +295,32 @@ func (tabuBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*co
 // and tabu-tenure buffers), so per-restart allocations are paid once per
 // batch instead of once per instance. Results match per-instance Solve.
 func (tabuBackend) SolveBatch(ctx context.Context, encs []*core.Encoding, ps []Params) ([]*core.Decoded, []error) {
-	jobs := make([]qubo.TabuJob, len(encs))
+	ds := make([]*core.Decoded, len(encs))
+	errs := make([]error, len(encs))
+	buildQUBOs(ctx, encs, errs)
+	jobs := make([]qubo.TabuJob, 0, len(encs))
+	idx := make([]int, 0, len(encs))
 	for i, enc := range encs {
+		if errs[i] != nil {
+			continue
+		}
 		restarts := ps[i].Reads
 		if restarts <= 0 {
 			restarts = 8
 		}
-		jobs[i] = qubo.TabuJob{
+		jobs = append(jobs, qubo.TabuJob{
 			Q:      enc.QUBO,
 			Search: qubo.TabuSearch{Restarts: restarts, InitialState: ps[i].InitialState},
 			Seed:   ps[i].Seed,
-		}
+		})
+		idx = append(idx, i)
 	}
-	sols, errs := qubo.SolveTabuBatchContext(ctx, jobs)
-	ds := make([]*core.Decoded, len(encs))
-	for i := range encs {
-		if errs[i] != nil {
+	sols, jerrs := qubo.SolveTabuBatchContext(ctx, jobs)
+	for j, i := range idx {
+		if errs[i] = jerrs[j]; errs[i] != nil {
 			continue
 		}
-		ds[i], errs[i] = bestValid(encs[i], [][]bool{sols[i].Assignment})
+		ds[i], errs[i] = bestValid(encs[i], [][]bool{sols[j].Assignment})
 	}
 	return ds, errs
 }
@@ -295,6 +348,15 @@ func (b qaoaBackend) options(shots int) qaoa.RunOptions {
 	}
 }
 
+// overBudget rejects an encoding whose exact qubit count exceeds the
+// statevector budget, before anything is built for it.
+func (b qaoaBackend) overBudget(enc *core.Encoding) error {
+	if n := enc.NumQubits(); n > b.maxQubits {
+		return fmt.Errorf("service: qaoa backend: %d logical qubits exceed the statevector budget of %d: %w", n, b.maxQubits, ErrBadRequest)
+	}
+	return nil
+}
+
 func (b qaoaBackend) decodeBest(enc *core.Encoding, out qaoa.Result) (*core.Decoded, error) {
 	assignments := make([][]bool, len(out.Samples))
 	for i, basis := range out.Samples {
@@ -304,8 +366,11 @@ func (b qaoaBackend) decodeBest(enc *core.Encoding, out qaoa.Result) (*core.Deco
 }
 
 func (b qaoaBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
-	if n := enc.NumQubits(); n > b.maxQubits {
-		return nil, fmt.Errorf("service: qaoa backend: %d logical qubits exceed the statevector budget of %d: %w", n, b.maxQubits, ErrBadRequest)
+	if err := b.overBudget(enc); err != nil {
+		return nil, err
+	}
+	if err := BuildQUBO(ctx, enc); err != nil {
+		return nil, err
 	}
 	shots := p.Reads
 	if shots <= 0 {
@@ -321,11 +386,12 @@ func (b qaoaBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*
 	return b.decodeBest(enc, outs[0])
 }
 
-// SolveBatch implements BatchSolver: instances sharing an encoding and a
-// shot budget are optimised once (the classical tuner is deterministic and
-// seed-independent) and sampled for all their seeds in one batched scan of
-// the final statevector via qaoa.RunSeedsContext. Results are bit-identical
-// to per-instance Solve.
+// SolveBatch implements BatchSolver: instances within the statevector
+// budget are built, and those sharing an encoding and a shot budget are
+// optimised once (the classical tuner is deterministic and
+// seed-independent) and sampled for all their seeds in one batched scan
+// of the final statevector via qaoa.RunSeedsContext. Results are
+// bit-identical to per-instance Solve.
 func (b qaoaBackend) SolveBatch(ctx context.Context, encs []*core.Encoding, ps []Params) ([]*core.Decoded, []error) {
 	ds := make([]*core.Decoded, len(encs))
 	errs := make([]error, len(encs))
@@ -333,11 +399,14 @@ func (b qaoaBackend) SolveBatch(ctx context.Context, encs []*core.Encoding, ps [
 		enc   *core.Encoding
 		shots int
 	}
+	for i, enc := range encs {
+		errs[i] = b.overBudget(enc)
+	}
+	buildQUBOs(ctx, encs, errs)
 	order := make([]groupKey, 0, len(encs))
 	members := make(map[groupKey][]int, len(encs))
 	for i, enc := range encs {
-		if n := enc.NumQubits(); n > b.maxQubits {
-			errs[i] = fmt.Errorf("service: qaoa backend: %d logical qubits exceed the statevector budget of %d: %w", n, b.maxQubits, ErrBadRequest)
+		if errs[i] != nil {
 			continue
 		}
 		shots := ps[i].Reads
@@ -381,6 +450,9 @@ func NewMILPBackend() Backend { return milpBackend{} }
 func (milpBackend) Name() string { return "milp" }
 
 func (milpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
+	if err := BuildQUBO(ctx, enc); err != nil {
+		return nil, err
+	}
 	// The branch-and-bound search checks the context at every node, so a
 	// request deadline interrupts deep searches mid-proof.
 	d, err := enc.SolveMILPContext(ctx)
@@ -393,16 +465,13 @@ func (milpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*co
 // dpBackend is the exact classical baseline: DP over relation subsets.
 // The optimum is memoised on the core.Encoding, so a cached encoding is
 // swept once, not once per request; the span of the solve records
-// optimum=reused|computed. It reads no QUBO, so its encodings stay
-// unbuilt (queryReader).
+// optimum=reused|computed. It reads no QUBO and never builds one.
 type dpBackend struct{}
 
 // NewDPBackend builds the exact dynamic-programming backend.
 func NewDPBackend() Backend { return dpBackend{} }
 
 func (dpBackend) Name() string { return "dp" }
-
-func (dpBackend) readsQueryOnly() {}
 
 func (dpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
 	// The subset sweep polls the context, so a request deadline interrupts
@@ -416,15 +485,13 @@ func (dpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core
 }
 
 // greedyBackend is the min-intermediate-cardinality greedy baseline. It
-// reads no QUBO, so its encodings stay unbuilt (queryReader).
+// reads no QUBO and never builds one.
 type greedyBackend struct{}
 
 // NewGreedyBackend builds the greedy baseline backend.
 func NewGreedyBackend() Backend { return greedyBackend{} }
 
 func (greedyBackend) Name() string { return "greedy" }
-
-func (greedyBackend) readsQueryOnly() {}
 
 func (greedyBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
 	if err := ctx.Err(); err != nil {

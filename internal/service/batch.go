@@ -283,38 +283,15 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 		}
 		bm := s.metrics.Backend(name)
 		if bsv, ok := b.groups[first].backend.(BatchSolver); ok {
-			// Build every instance's QUBO first. One that fails to build has
-			// failed its solve and stays out of the batched call; the batch
-			// span says qubo=computed when any instance was unbuilt.
 			b.encs = b.encs[:0]
 			b.ps = b.ps[:0]
-			built := b.gidx[:0]
-			quboAttr := ""
 			for _, gj := range b.gidx {
-				g := &b.groups[gj]
-				attr, err := buildFor(ctx, g.backend, g.enc)
-				if quboAttr != "computed" {
-					quboAttr = attr
-				}
-				if err != nil {
-					bm.Observe(0, err)
-					g.d, g.err = nil, err
-					continue
-				}
-				built = append(built, gj)
-				b.encs = append(b.encs, g.enc)
-				b.ps = append(b.ps, g.params)
-			}
-			b.gidx = built
-			if len(b.gidx) == 0 {
-				continue
+				b.encs = append(b.encs, b.groups[gj].enc)
+				b.ps = append(b.ps, b.groups[gj].params)
 			}
 			solveCtx, span := obs.StartSpan(ctx, "solve.batch")
 			span.SetAttrStr("backend", name)
 			span.SetAttrInt("instances", len(b.gidx))
-			if quboAttr != "" {
-				span.SetAttrStr("qubo", quboAttr)
-			}
 			solveStart := time.Now()
 			ds, berrs := s.safeSolveBatch(solveCtx, bsv, b.encs, b.ps)
 			// Per-instance latency is the amortised share of the batched
@@ -333,17 +310,10 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 		} else {
 			for _, gj := range b.gidx {
 				g := &b.groups[gj]
-				quboAttr, err := buildFor(ctx, g.backend, g.enc)
 				solveCtx, span := obs.StartSpan(ctx, "solve")
 				span.SetAttrStr("backend", name)
-				if quboAttr != "" {
-					span.SetAttrStr("qubo", quboAttr)
-				}
 				solveStart := time.Now()
-				var d *core.Decoded
-				if err == nil {
-					d, err = s.safeSolve(solveCtx, g.backend, g.enc, g.params)
-				}
+				d, err := s.safeSolve(solveCtx, g.backend, g.enc, g.params)
 				if err == nil {
 					err = vetDecoded(g.enc.Query.NumRelations(), name, d)
 				}

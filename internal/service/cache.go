@@ -303,9 +303,10 @@ func Fingerprint(q *join.Query, spec EncodeSpec) (key string, perm []int) {
 // instance: the canonical query, the encoding options, the exact logical-
 // qubit count and the per-encoding memos (classical optimum, minor
 // embedding). Its MILP → BILP → QUBO model is built on first use by a
-// backend that reads it (see buildFor), so an entry that only classical
-// backends ever touch holds no model at all, and repeated query shapes pay
-// for a build at most once.
+// backend that reads it (BuildQUBO: anneal, tabu, qaoa, milp, and hybrid
+// when its stage 2 launches), so an entry that only classical backends
+// ever touch holds no model at all, and repeated query shapes pay for a
+// build at most once.
 type EncodingCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -375,17 +376,38 @@ func (c *EncodingCache) encodingScratch(q *join.Query, spec EncodeSpec, fp *fing
 	}
 	c.misses.Add(1)
 	key = hex.EncodeToString(sum[:])
+	if enc, err = c.prepare(sum, key, q, perm, spec); err != nil {
+		return nil, key, nil, false, err
+	}
+	return enc, key, perm, false, nil
+}
+
+// prepare prepares the canonical form of q (perm from its fingerprint,
+// spec with defaults applied) and inserts it under sum, returning the
+// resident encoding.
+func (c *EncodingCache) prepare(sum [32]byte, key string, q *join.Query, perm []int, spec EncodeSpec) (*core.Encoding, error) {
 	cq := canonicalize(q, perm)
-	enc, err = core.Prepare(cq, core.Options{
+	enc, err := core.Prepare(cq, core.Options{
 		Thresholds:   core.DefaultThresholds(cq, spec.Thresholds),
 		Omega:        spec.Omega,
 		LogObjective: spec.LogObjective,
 		Compact:      spec.Compact,
 	})
 	if err != nil {
-		return nil, key, nil, false, err
+		return nil, err
 	}
-	return c.put(sum, key, enc), key, perm, false, nil
+	return c.put(sum, key, enc), nil
+}
+
+// entry returns the encoding cached under sum, preparing and inserting
+// q's on a miss, without counting a lookup. A query-level backend's
+// request (decomp) reads the classical optimum memo of its entry this
+// way; its own answer never comes from the cache.
+func (c *EncodingCache) entry(sum [32]byte, key string, q *join.Query, perm []int, spec EncodeSpec) (*core.Encoding, error) {
+	if enc, _, ok := c.get(sum); ok {
+		return enc, nil
+	}
+	return c.prepare(sum, key, q, perm, spec.withDefaults())
 }
 
 func (c *EncodingCache) get(sum [32]byte) (*core.Encoding, string, bool) {

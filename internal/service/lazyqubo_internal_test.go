@@ -15,8 +15,9 @@ import (
 	"quantumjoin/internal/querygen"
 )
 
-// lastSpans returns the newest stored trace's encode span (or nil) and
-// its solve span's attributes.
+// lastSpans returns the newest stored trace's encode span (or nil), which
+// the backend's build opens under its solve span, and the solve span's
+// attributes.
 func lastSpans(t *testing.T, tracer *obs.Tracer) (encode *obs.SpanSnapshot, solve map[string]any) {
 	t.Helper()
 	traces := tracer.Snapshots()
@@ -25,17 +26,28 @@ func lastSpans(t *testing.T, tracer *obs.Tracer) (encode *obs.SpanSnapshot, solv
 	}
 	for i := range traces[0].Root.Children {
 		sp := &traces[0].Root.Children[i]
-		switch sp.Name {
-		case "encode":
-			encode = sp
-		case "solve", "solve.batch":
+		if sp.Name == "solve" || sp.Name == "solve.batch" {
 			solve = sp.Attrs
+			encode = findSpan(sp, "encode")
 		}
 	}
 	if solve == nil {
 		t.Fatalf("trace has no solve span: %+v", traces[0].Root)
 	}
 	return encode, solve
+}
+
+// findSpan returns the first span named name in the tree under s, or nil.
+func findSpan(s *obs.SpanSnapshot, name string) *obs.SpanSnapshot {
+	if s.Name == name {
+		return s
+	}
+	for i := range s.Children {
+		if found := findSpan(&s.Children[i], name); found != nil {
+			return found
+		}
+	}
+	return nil
 }
 
 // cachedEntry looks q's entry up in svc's cache, failing when it is absent.

@@ -186,51 +186,72 @@ func TestLazyQUBOEveryBackend(t *testing.T) {
 	}
 }
 
-// TestLazyQUBOConcurrentFirstUse: many concurrent first requests on one
-// unseen query shape — classical and sampling backends mixed — build its
-// QUBO exactly once, and every response reports the same qubit count.
+// TestLazyQUBOConcurrentFirstUse: many concurrent first requests on two
+// unseen query shapes — classical and sampling backends mixed, bare and
+// behind the resilience wrappers, one request at a time and in batch
+// envelopes (each BatchSolver's fast path) — build each shape's QUBO
+// exactly once, and every response reports the same qubit count.
 func TestLazyQUBOConcurrentFirstUse(t *testing.T) {
-	const callers = 12
-	tracer := obs.NewTracer(obs.Options{Capacity: 2 * callers, SampleRate: 1})
-	svc := lazyService(t, false, tracer)
-	q := lazyChain()
-	backends := []string{"tabu", "dp", "anneal", "greedy", "milp", "hybrid"}
-	var wg sync.WaitGroup
-	qubits := make([]int, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := svc.Optimize(context.Background(), &service.Request{
-				Query: q, Backend: backends[i%len(backends)], Spec: lazySpec,
-				Params: service.Params{Reads: 32, Seed: int64(i)},
-			})
-			if err != nil {
-				t.Error(err)
-				return
+	backends := []string{"tabu", "dp", "anneal", "greedy", "milp", "hybrid", "qaoa"}
+	callers := 2 * len(backends)
+	for _, wrapped := range []bool{false, true} {
+		tracer := obs.NewTracer(obs.Options{Capacity: 2 * callers, SampleRate: 1})
+		svc := lazyService(t, wrapped, tracer)
+		var wg sync.WaitGroup
+		qubits := make([]int, callers)
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				name, batch := backends[i%len(backends)], i >= len(backends)
+				req := &service.Request{
+					Query: lazyQuery(name), Backend: name, Spec: lazySpec,
+					Params: service.Params{Reads: 32, Seed: int64(i)},
+				}
+				var resp *service.Response
+				var err error
+				if batch {
+					resps, errs, _ := svc.OptimizeBatch(context.Background(), []*service.Request{req}, 30*time.Second)
+					resp, err = resps[0], errs[0]
+				} else {
+					resp, err = svc.Optimize(context.Background(), req)
+				}
+				if err != nil {
+					t.Errorf("%s (wrapped %v, batch %v): %v", name, wrapped, batch, err)
+					return
+				}
+				if resp.Degraded {
+					t.Errorf("%s (wrapped %v, batch %v) degraded: %s", name, wrapped, batch, resp.DegradedReason)
+				}
+				qubits[i] = resp.LogicalQubits
+			}(i)
+		}
+		wg.Wait()
+		for i, n := range qubits {
+			name := backends[i%len(backends)]
+			if want := eagerQubits(t, name, lazyQuery(name)); n != want {
+				t.Errorf("caller %d (%s, wrapped %v): logical_qubits = %d, want %d", i, name, wrapped, n, want)
 			}
-			if resp.Degraded {
-				t.Errorf("%s degraded: %s", backends[i%len(backends)], resp.DegradedReason)
-			}
-			qubits[i] = resp.LogicalQubits
-		}(i)
-	}
-	wg.Wait()
-	want := eagerQubits(t, "tabu", q)
-	for i, n := range qubits {
-		if n != want {
-			t.Errorf("caller %d: logical_qubits = %d, want %d", i, n, want)
+		}
+		builds := 0
+		for _, tr := range tracer.Snapshots() {
+			builds += countSpans(&tr.Root, "encode")
+		}
+		// Two query shapes: lazyPair for qaoa, lazyChain for the rest.
+		if builds != 2 {
+			t.Fatalf("wrapped %v: %d concurrent first requests on 2 shapes built %d QUBOs, want one per shape", wrapped, callers, builds)
 		}
 	}
-	builds := 0
-	for _, tr := range tracer.Snapshots() {
-		for _, sp := range tr.Root.Children {
-			if sp.Name == "encode" {
-				builds++
-			}
-		}
+}
+
+// countSpans counts the spans named name in the tree under s.
+func countSpans(s *obs.SpanSnapshot, name string) int {
+	n := 0
+	if s.Name == name {
+		n++
 	}
-	if builds != 1 {
-		t.Fatalf("%d concurrent first requests built the QUBO %d times, want once", callers, builds)
+	for i := range s.Children {
+		n += countSpans(&s.Children[i], name)
 	}
+	return n
 }

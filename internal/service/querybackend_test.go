@@ -62,8 +62,10 @@ func bigChainQuery(n int) *join.Query {
 }
 
 // TestQueryBackendRoutesAroundEncodingCache: a QueryBackend request must
-// never build (or hit) a monolithic encoding — repeated identical requests
-// stay cache misses, call SolveQuery each time, and report no qubits.
+// never build a monolithic encoding or answer from the cache — repeated
+// identical requests report no cache hit, call SolveQuery each time, and
+// report no qubits. (The comparison reads the optimum memo of the query's
+// prepared cache entry, which stays unbuilt.)
 func TestQueryBackendRoutesAroundEncodingCache(t *testing.T) {
 	stub := &stubQueryBackend{}
 	svc := queryBackendService(t, stub)

@@ -357,26 +357,19 @@ func (s *Service) solveInto(ctx context.Context, backend Backend, req *Request, 
 	}
 
 	// A hit is recorded as an attribute on the active (root) span rather
-	// than a noise span; the "encode" span opens only where buildFor
-	// builds the QUBO.
+	// than a noise span. The entry is prepared, not built: a backend that
+	// reads the QUBO builds it (BuildQUBO), under its solve span.
 	enc, key, perm, hit, err := s.cache.encodingScratch(req.Query, req.Spec, &sc.fp)
 	obs.ActiveSpan(ctx).SetAttrBool("cache_hit", hit)
 	if err != nil {
 		return fmt.Errorf("service: encoding failed: %v: %w", err, ErrBadRequest)
 	}
 
-	quboAttr, err := buildFor(ctx, backend, enc)
 	bm := s.metrics.Backend(backend.Name())
 	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
 	solveSpan.SetAttrStr("backend", backend.Name())
-	if quboAttr != "" {
-		solveSpan.SetAttrStr("qubo", quboAttr)
-	}
 	solveStart := time.Now()
-	var d *core.Decoded
-	if err == nil {
-		d, err = s.safeSolve(solveCtx, backend, enc, req.Params)
-	}
+	d, err := s.safeSolve(solveCtx, backend, enc, req.Params)
 	if err == nil {
 		// Never trust a backend's result structurally: an unreliable QPU
 		// (or a fault injector standing in for one) can return corrupted
@@ -446,36 +439,47 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 	resp.Degraded = degraded
 	resp.DegradedReason = reason
 	resp.Elapsed = 0
-	if n := req.Query.NumRelations(); !req.Lean && s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		// The optimum of the canonical instance, computed once per cached
-		// encoding (plan costs are invariant under relation relabelling),
-		// replaces the per-request DP solve this comparison used to cost.
-		// A sweep the request's deadline cuts short skips the comparison
-		// and leaves the memo empty.
-		if opt, _, err := enc.OptimalContext(ctx); err == nil {
-			resp.OptimalCost = opt.Cost
-			resp.Optimal = resp.Cost <= opt.Cost*(1+1e-9)+1e-12
-		}
+	if s.compares(req) {
+		compareOptimal(ctx, enc, req.Query, resp)
 	}
 	decodeSpan.End(nil)
 	return nil
 }
 
-// buildFor builds enc's QUBO before backend solves it, unless backend
-// reads only the query (queryReader). It returns the solve span's qubo
-// attribute — "computed" when the QUBO was not built yet, so this request
-// ran the build or waited on a concurrent one; "reused" when it was; ""
-// when no build was needed — and the build error, which the caller treats
-// as a failure of the backend: eligible for degradation, never a 400.
-func buildFor(ctx context.Context, backend Backend, enc *core.Encoding) (string, error) {
-	if _, ok := backend.(queryReader); ok {
-		return "", nil
+// compares reports whether req's response carries the optimal-cost
+// comparison: a non-lean request of at most CompareRelations relations.
+func (s *Service) compares(req *Request) bool {
+	return !req.Lean && s.cfg.CompareRelations > 0 && req.Query.NumRelations() <= s.cfg.CompareRelations
+}
+
+// optimum returns the exact DP optimum of q, the canonical instance: from
+// the optimum memo of enc, q's cache entry, which the first sweep that
+// completes fills for every later request on the entry (plan costs are
+// invariant under relation relabelling), or from an unmemoised sweep when
+// enc is nil. reused reports a memo hit. A sweep the deadline cuts short
+// fails and leaves the memo empty.
+func optimum(ctx context.Context, enc *core.Encoding, q *join.Query) (res classical.Result, reused bool, err error) {
+	if enc != nil {
+		return enc.OptimalContext(ctx)
 	}
-	attr := reusedAttr(enc.Built())
-	if err := enc.Build(ctx); err != nil {
-		return attr, fmt.Errorf("service: building the QUBO encoding failed: %w", err)
+	res, err = classical.OptimalContext(ctx, q)
+	return res, false, err
+}
+
+// compareOptimal sets resp's optimal-cost comparison from the optimum of
+// q (see optimum), and records a memo read on the active span as
+// optimum=reused|computed. A sweep the deadline cuts short skips the
+// comparison.
+func compareOptimal(ctx context.Context, enc *core.Encoding, q *join.Query, resp *Response) {
+	opt, reused, err := optimum(ctx, enc, q)
+	if err != nil {
+		return
 	}
-	return attr, nil
+	if enc != nil {
+		obs.ActiveSpan(ctx).SetAttrStr("optimum", reusedAttr(reused))
+	}
+	resp.OptimalCost = opt.Cost
+	resp.Optimal = resp.Cost <= opt.Cost*(1+1e-9)+1e-12
 }
 
 // safeSolve invokes the backend with panic containment: one misbehaving
@@ -510,19 +514,12 @@ func vetDecoded(n int, backend string, d *core.Decoded) error {
 // once the deadline has passed), the greedy plan otherwise. Greedy is pure
 // microsecond-scale compute and needs no context, so it succeeds even when
 // the deadline is already blown — the degraded answer is always available.
-// enc, when not nil, is q's encoding: the DP plan then comes from its
+// enc, when not nil, is q's cache entry: the DP plan then comes from its
 // optimum memo, without a sweep when the optimum is already stored.
 func (s *Service) fallback(ctx context.Context, q *join.Query, enc *core.Encoding) (*core.Decoded, string) {
 	n := q.NumRelations()
 	if s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		var res classical.Result
-		var err error
-		if enc != nil {
-			res, _, err = enc.OptimalContext(ctx)
-		} else {
-			res, err = classical.OptimalContext(ctx, q)
-		}
-		if err == nil {
+		if res, _, err := optimum(ctx, enc, q); err == nil {
 			return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, "dp"
 		}
 	}
@@ -532,10 +529,13 @@ func (s *Service) fallback(ctx context.Context, q *join.Query, enc *core.Encodin
 
 // solveQueryInto serves a QueryBackend request. The WL fingerprint is
 // still computed — it is the response CacheKey and the cluster routing
-// key — but no monolithic encoding is built or cached. As on the encoding
-// path, the backend plans the canonical relabelling of the query and its
-// order is translated back into the request's own relation indexing, so
-// relabelling a request's relations cannot change its plan.
+// key — but no monolithic encoding is built: the backend's answer never
+// comes from the cache. As on the encoding path, the backend plans the
+// canonical relabelling of the query and its order is translated back
+// into the request's own relation indexing, so relabelling a request's
+// relations cannot change its plan. The query's prepared cache entry holds
+// its optimum memo, which the degrade fallback and the optimal-cost
+// comparison read, so repeats of a query shape sweep its DP once.
 func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req *Request, sc *reqScratch, resp *Response) error {
 	sum, perm := sc.fp.sum(req.Query, req.Spec)
 	key := hex.EncodeToString(sum[:])
@@ -553,6 +553,15 @@ func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req 
 	bm.Observe(time.Since(solveStart), err)
 	solveSpan.End(err)
 
+	// Only a request that may read the optimum fetches the entry (both
+	// readers stop above CompareRelations). It stays nil where Prepare
+	// rejects the spec, say above core.MaxMonolithicRelations, and both
+	// readers then sweep unmemoised.
+	var enc *core.Encoding
+	if n := req.Query.NumRelations(); (err != nil || !req.Lean) && s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
+		enc, _ = s.cache.entry(sum, key, req.Query, perm, req.Spec)
+	}
+
 	producer := backend.Name()
 	degraded := false
 	reason := ""
@@ -561,7 +570,7 @@ func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req 
 			return err
 		}
 		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, cq, nil)
+		d, producer = s.fallback(fbCtx, cq, enc)
 		fbSpan.SetAttrStr("fallback", producer)
 		fbSpan.End(nil)
 		degraded, reason = true, err.Error()
@@ -591,11 +600,8 @@ func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req 
 	resp.Degraded = degraded
 	resp.DegradedReason = reason
 	resp.Elapsed = 0
-	if n := req.Query.NumRelations(); !req.Lean && s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		if opt, err := classical.OptimalContext(ctx, req.Query); err == nil {
-			resp.OptimalCost = opt.Cost
-			resp.Optimal = resp.Cost <= opt.Cost*(1+1e-9)+1e-12
-		}
+	if s.compares(req) {
+		compareOptimal(ctx, enc, cq, resp)
 	}
 	return nil
 }
