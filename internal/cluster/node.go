@@ -400,10 +400,11 @@ func (n *Node) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if qp := r.URL.Query().Get("backend"); qp != "" {
 		opt.Backend = qp
 	}
-	key, _ := service.Fingerprint(q, service.EncodeSpec{
+	key, perm := service.Fingerprint(q, service.EncodeSpec{
 		Thresholds:   opt.Thresholds,
 		Omega:        opt.Omega,
 		LogObjective: opt.LogObjective,
+		Compact:      opt.Compact,
 	})
 
 	// Mint the request ID here (adopting an inbound one) so the routing
@@ -437,7 +438,7 @@ func (n *Node) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			span.SetAttr("forward_failed", true)
 		}
 	}
-	n.serveLocal(w, r, coalesceKey(key, &opt), key, body)
+	n.serveLocal(w, r, coalesceKey(key, q, perm, &opt), key, body)
 }
 
 // withoutNode returns targets minus node, preserving order.
@@ -451,14 +452,22 @@ func withoutNode(targets []string, node string) []string {
 	return out
 }
 
-// coalesceKey identifies solves that would be bit-identical: same
-// canonical instance and spec (the fingerprint), same backend, and same
-// solver parameters. Requests that differ only by relation labelling
-// coalesce; requests with different seeds or budgets never do.
-func coalesceKey(fingerprint string, opt *service.OptimizeRequest) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%s|%d",
-		fingerprint, opt.Backend, opt.Reads, opt.Seed, opt.TimeoutMs,
-		strings.Join(opt.Portfolio, ","), opt.HedgeMs)
+// coalesceKey identifies requests whose response bodies would be
+// identical, since a waiter receives the leader's body: same canonical
+// instance and spec (the fingerprint, with perm its canonicalising
+// permutation), same relation names in canonical order (the body spells
+// the plan in the request's names), same backend, solver parameters and
+// response shape. Requests that list the same relations in another order
+// coalesce; requests with different names, seeds, budgets or part budgets,
+// or a different lean flag, never do.
+func coalesceKey(fingerprint string, q *join.Query, perm []int, opt *service.OptimizeRequest) string {
+	names := make([]string, len(perm))
+	for orig, canon := range perm {
+		names[canon] = q.Relations[orig].Name
+	}
+	return fmt.Sprintf("%s|%q|%s|%d|%d|%d|%q|%d|%d|%t",
+		fingerprint, names, opt.Backend, opt.Reads, opt.Seed, opt.TimeoutMs,
+		opt.Portfolio, opt.HedgeMs, opt.PartBudget, opt.Lean)
 }
 
 // forwardHops reads the hop counter (absent or malformed reads as 0).

@@ -214,13 +214,25 @@ func (e *Encoding) TIIVar(t, j int) int { return e.tii[t][j] }
 // sums over tii); asking for j > 0 there panics.
 func (e *Encoding) TIOVar(t, j int) int { return e.tio[t][j] }
 
-// MaxMonolithicRelations caps the relation count of a single monolithic
-// QUBO encoding. Constraint lengths grow linearly and the squared penalty
-// terms quadratically with the relation count, so beyond this point one
-// giant QUBO is slower to build than it is useful to solve. Larger queries
-// go through graph-partition decomposition instead (the decomp backend),
-// which plans bounded parts classically and stitches the per-part orders.
+// MaxMonolithicRelations caps the relation count of a built QUBO
+// encoding. Constraint lengths grow linearly and the squared penalty
+// terms quadratically with the relation count (Theorem 5.3), so beyond
+// this point one giant QUBO is slower to build than it is useful to
+// solve. Build refuses larger queries; Prepare accepts them, so backends
+// that read only the query (dp, greedy, decomp) still plan them. The
+// decomp backend partitions such a query into bounded parts, plans each
+// part classically and stitches the per-part orders.
 const MaxMonolithicRelations = 32
+
+// CheckMonolithic returns Build's refusal of q when q has more than
+// MaxMonolithicRelations relations, or nil. A caller can check it before
+// anything else it would do for a build.
+func CheckMonolithic(q *join.Query) error {
+	if n := q.NumRelations(); n > MaxMonolithicRelations {
+		return fmt.Errorf("core: %d relations exceeds the %d-relation monolithic encoding limit; use the decomp backend, which partitions the join graph into parts, plans each part by exact DP and stitches the per-part orders", n, MaxMonolithicRelations)
+	}
+	return nil
+}
 
 // Encode builds the QUBO encoding for the query under the given options.
 // Invalid instances — selectivities outside (0, 1], cardinalities below 1,
@@ -248,16 +260,16 @@ func EncodeContext(ctx context.Context, q *join.Query, opts Options) (*Encoding,
 // Prepare validates q and opts exactly as Encode does, with the same
 // errors, and returns an unbuilt Encoding: Query, Opts (defaults applied)
 // and the exact logical-qubit count are set, no model is built. Call Build
-// before reading MILP, BILP, QUBO or Infos, or decoding a sample.
+// before reading MILP, BILP, QUBO or Infos, or decoding a sample. The
+// monolithic size limit is Build's, not Prepare's: every valid query up
+// to join.MaxRelations is prepared, and its qubit count is the demand a
+// monolithic QUBO would have.
 func Prepare(q *join.Query, opts Options) (*Encoding, error) {
 	if q == nil {
 		return nil, fmt.Errorf("core: cannot encode nil query")
 	}
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("core: cannot encode invalid query: %w", err)
-	}
-	if n := q.NumRelations(); n > MaxMonolithicRelations {
-		return nil, fmt.Errorf("core: %d relations exceeds the %d-relation monolithic encoding limit; use the decomp backend, which partitions the join graph into parts, plans each part by exact DP and stitches the per-part orders", n, MaxMonolithicRelations)
 	}
 	opts = opts.withDefaults()
 	if opts.Compact && opts.Original {
@@ -293,8 +305,13 @@ func Prepare(q *join.Query, opts Options) (*Encoding, error) {
 // nothing, so the next caller with a live ctx builds again; an encoding
 // error is kept and returned to every caller. The QUBO stage itself does
 // not poll, so callers under a deadline should not start a build they
-// cannot afford (hybrid's stage 2 predicts its cost from NumQubits).
+// cannot afford (service.BuildQUBO predicts its cost from NumQubits).
+// A query above MaxMonolithicRelations is refused before the first stage,
+// with no span and nothing latched.
 func (e *Encoding) Build(ctx context.Context) error {
+	if err := CheckMonolithic(e.Query); err != nil {
+		return err
+	}
 	for {
 		if e.built.Load() {
 			return e.buildErr

@@ -127,7 +127,9 @@ func TestPrepareQubitCountEdgeThresholds(t *testing.T) {
 // TestPrepareErrorParity pins the error text of every input Prepare
 // rejects: the texts Encode has always returned, so a caller that moved
 // from Encode to Prepare sees the same messages. Encode, which now runs
-// Prepare first, must agree.
+// Prepare first, must agree. The monolithic size limit is Build's: Prepare
+// accepts a 40-relation query, and Build and Encode refuse it with the
+// text Encode has always returned.
 func TestPrepareErrorParity(t *testing.T) {
 	two := &join.Query{
 		Relations:  []join.Relation{{Name: "a", Card: 10}, {Name: "b", Card: 20}},
@@ -151,8 +153,6 @@ func TestPrepareErrorParity(t *testing.T) {
 		{"nil query", nil, Options{Thresholds: th}, "core: cannot encode nil query"},
 		{"invalid query", badSel, Options{Thresholds: th},
 			"core: cannot encode invalid query: join: predicate 0 has selectivity 1.5 outside (0, 1]"},
-		{"too many relations", big, Options{Thresholds: th},
-			"core: 40 relations exceeds the 32-relation monolithic encoding limit; use the decomp backend, which partitions the join graph into parts, plans each part by exact DP and stitches the per-part orders"},
 		{"compact and original", two, Options{Thresholds: th, Compact: true, Original: true},
 			"core: Compact and Original encodings are mutually exclusive (the compact substitution presumes the pruned model)"},
 		{"no thresholds", two, Options{}, "core: at least one threshold value is required"},
@@ -171,6 +171,27 @@ func TestPrepareErrorParity(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: Encode = (%v, %v), want error %q", tc.name, enc, err, tc.want)
 		}
+	}
+
+	const tooBig = "core: 40 relations exceeds the 32-relation monolithic encoding limit; use the decomp backend, which partitions the join graph into parts, plans each part by exact DP and stitches the per-part orders"
+	p, err := Prepare(big, Options{Thresholds: th})
+	if err != nil {
+		t.Fatalf("Prepare of 40 relations: %v", err)
+	}
+	if p.NumQubits() <= 0 {
+		t.Errorf("prepared 40-relation encoding counts %d qubits", p.NumQubits())
+	}
+	if err := p.Build(context.Background()); err == nil || err.Error() != tooBig {
+		t.Errorf("Build of 40 relations = %v, want error %q", err, tooBig)
+	}
+	if err := CheckMonolithic(big); err == nil || err.Error() != tooBig {
+		t.Errorf("CheckMonolithic of 40 relations = %v, want error %q", err, tooBig)
+	}
+	if p.Built() || p.QUBO != nil {
+		t.Error("a refused build latched or built something")
+	}
+	if enc, err := Encode(big, Options{Thresholds: th}); err == nil || err.Error() != tooBig {
+		t.Errorf("Encode of 40 relations = (%v, %v), want error %q", enc, err, tooBig)
 	}
 }
 

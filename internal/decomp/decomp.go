@@ -34,8 +34,9 @@ func clampBudget(b int) int {
 
 // Backend decomposes large join graphs into parts of bounded size, plans
 // each part exactly by classical DP, and stitches the per-part orders with
-// the classical planner. It implements service.QueryBackend, so the service
-// routes it around the monolithic encoding cache, and is safe for
+// the classical planner. It is an ordinary service.Backend: it reads only
+// the query of the prepared cache entry it is handed, builds no QUBO, and
+// plans any valid query up to join.MaxRelations. It is safe for
 // concurrent use.
 type Backend struct {
 	partBudget int
@@ -55,19 +56,17 @@ func New(partBudget int) *Backend {
 // Name implements service.Backend.
 func (b *Backend) Name() string { return Name }
 
-// Solve implements service.Backend for callers holding a monolithic
-// encoding (tests, direct library use) by planning the encoding's query.
-// The service itself never takes this path — it detects the QueryBackend
-// interface and calls SolveQuery before any monolithic encode is
-// attempted.
+// Solve implements service.Backend by planning the encoding's query (the
+// service hands it the canonical relabelling, so the plan does not depend
+// on how the request numbered its relations). It never builds the QUBO.
 func (b *Backend) Solve(ctx context.Context, enc *core.Encoding, p service.Params) (*core.Decoded, error) {
 	return b.SolveQuery(ctx, enc.Query, p)
 }
 
-// SolveQuery implements service.QueryBackend: partition → per-part solve →
-// stitch. A part whose DP sweep the deadline cuts short takes its greedy
-// plan, and the stitched plan is floored at the global greedy plan, so the
-// result is never worse than classical.Greedy, even on an expired context.
+// SolveQuery plans q: partition → per-part solve → stitch. A part whose
+// DP sweep the deadline cuts short takes its greedy plan, and the stitched
+// plan is floored at the global greedy plan, so the result is never worse
+// than classical.Greedy, even on an expired context.
 func (b *Backend) SolveQuery(ctx context.Context, q *join.Query, p service.Params) (*core.Decoded, error) {
 	if q == nil {
 		return nil, fmt.Errorf("decomp: nil query: %w", service.ErrBadRequest)

@@ -9,7 +9,8 @@
 // the contracted part-graph — parts become composite relations with
 // derived cardinalities and selectivities. No part is QUBO-encoded: DP
 // proves a part of this size optimal in milliseconds, so a quantum or
-// heuristic part solver has nothing left to win.
+// heuristic part solver has nothing left to win. The service runs the
+// backend like dp or greedy, on the query's prepared cache entry.
 package decomp
 
 import (

@@ -180,10 +180,13 @@ func (b *breaker) admit() error {
 // observe folds one solve outcome into the breaker state and reports any
 // state transition it caused, so the caller can log it. Caller
 // cancellation is neutral — a race loser or a client walking away says
-// nothing about the backend's health — but a blown deadline counts as a
-// failure: the backend did not answer within the budget it was given.
+// nothing about the backend's health — and so is a client error
+// (service.ErrBadRequest: a query too large for the backend, say), which
+// says only that this client sent what the backend cannot read. A blown
+// deadline counts as a failure: the backend did not answer within the
+// budget it was given.
 func (b *breaker) observe(err error) (from, to int, changed bool) {
-	neutral := errors.Is(err, context.Canceled)
+	neutral := errors.Is(err, context.Canceled) || errors.Is(err, service.ErrBadRequest)
 	failure := err != nil && !neutral
 
 	b.mu.Lock()

@@ -3,10 +3,12 @@ package faults
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"quantumjoin/internal/join"
 	"quantumjoin/internal/service"
 )
 
@@ -251,5 +253,77 @@ func TestBreakerStateAge(t *testing.T) {
 	clock.Advance(2 * time.Second)
 	if h := hr.Health(); h.State != service.HealthOK || h.StateAgeSeconds != 2 {
 		t.Fatalf("after recovery health = %+v, want ok with age 2s", h)
+	}
+}
+
+// TestBreakerNeutralOnBadRequest: a client error (service.ErrBadRequest)
+// is not a backend failure: closed, it consumes no failure budget, and
+// half-open, it neither closes nor re-opens the breaker but frees the
+// probe slot for the next request.
+func TestBreakerNeutralOnBadRequest(t *testing.T) {
+	enc := testEncoding(t)
+	bad := fmt.Errorf("too large for this backend: %w", service.ErrBadRequest)
+	fail := &Error{Kind: KindRejected, Backend: "qpu"}
+	inner := &scriptBackend{name: "qpu", script: []error{bad, bad, bad, bad, fail, fail, bad, bad}}
+	clock := &fakeClock{now: time.Unix(0, 0)}
+	be := WithBreaker(inner, BreakerConfig{ConsecutiveFailures: 2, OpenFor: time.Second, HalfOpenSuccesses: 1, Now: clock.Now})
+	hr := be.(service.HealthReporter)
+	for i := 0; i < 4; i++ {
+		if _, err := be.Solve(context.Background(), enc, service.Params{}); !errors.Is(err, service.ErrBadRequest) {
+			t.Fatalf("request %d: err = %v, want the backend's bad request", i, err)
+		}
+	}
+	if h := hr.Health(); h.State != service.HealthOK || h.ConsecutiveFailures != 0 || h.ErrorRate != 0 {
+		t.Fatalf("bad requests moved the closed breaker: %+v", h)
+	}
+
+	for i := 0; i < 2; i++ {
+		_, _ = be.Solve(context.Background(), enc, service.Params{})
+	}
+	clock.Advance(2 * time.Second)
+	for i := 0; i < 2; i++ {
+		if _, err := be.Solve(context.Background(), enc, service.Params{}); !errors.Is(err, service.ErrBadRequest) {
+			t.Fatalf("half-open request %d: err = %v, want the backend's bad request, not a fast-fail", i, err)
+		}
+		if h := hr.Health(); h.State != service.HealthHalfOpen || h.Trips != 1 {
+			t.Fatalf("half-open bad request %d moved the breaker: %+v", i, h)
+		}
+	}
+	if _, err := be.Solve(context.Background(), enc, service.Params{}); err != nil {
+		t.Fatalf("probe after the bad requests: %v", err)
+	}
+	if h := hr.Health(); h.State != service.HealthOK {
+		t.Fatalf("a successful probe left the breaker %+v", h)
+	}
+}
+
+// TestBreakerNeutralOnOversizedQAOA: under Degrade, requests whose
+// instance exceeds a breaker-wrapped qaoa's statevector budget keep
+// answering 400 (ErrBadRequest, never a degraded plan), and the breaker
+// stays closed, so one client's oversized input cannot shut qaoa for
+// every other client.
+func TestBreakerNeutralOnOversizedQAOA(t *testing.T) {
+	reg := service.NewRegistry()
+	be := WithBreaker(service.NewQAOABackend(16, 1, 2), BreakerConfig{})
+	if err := reg.Register(be); err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(reg, service.Config{Workers: 1, Degrade: true, DefaultBackend: "qaoa"})
+	defer svc.Close(context.Background())
+	q := &join.Query{}
+	for i := 0; i < 8; i++ {
+		q.Relations = append(q.Relations, join.Relation{Name: fmt.Sprintf("r%d", i), Card: float64(10 + i)})
+		if i > 0 {
+			q.Predicates = append(q.Predicates, join.Predicate{R1: i - 1, R2: i, Sel: 0.1})
+		}
+	}
+	for i := 0; i < 2*5; i++ {
+		resp, err := svc.Optimize(context.Background(), &service.Request{Query: q})
+		if !errors.Is(err, service.ErrBadRequest) {
+			t.Fatalf("request %d: (%+v, %v), want a bad request", i, resp, err)
+		}
+	}
+	if h := be.(service.HealthReporter).Health(); h.State != service.HealthOK || h.Trips != 0 || h.ConsecutiveFailures != 0 {
+		t.Fatalf("oversized requests moved qaoa's breaker: %+v", h)
 	}
 }

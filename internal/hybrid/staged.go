@@ -208,34 +208,24 @@ func (b *Backend) hedge(ctx context.Context, p service.Params) bool {
 	}
 }
 
-// buildCostPerQubit2 is the predicted cost of building an encoding's
-// QUBO per squared logical qubit: the build's quadratic penalty terms
-// dominate it. At 20 relations on a 2-vCPU host a build took 1.6–3.2 ns
-// per qubit² (6–13 ms for ~2,000 qubits, 0.24–0.32 s for an ~11,250-qubit
-// clique; DESIGN.md, "Encoding cache"), and up to 4.8 ns in another run.
-// The QUBO stage, nearly all of the build, does not poll its context, so
-// the prediction sits at the top of that range: a build predicted to fit
-// then fits on a loaded host too, and one that would not fit is not
-// started.
-const buildCostPerQubit2 = 5 * time.Nanosecond
-
 // buildStage2 builds enc's QUBO, which the portfolio racers and the
 // warm start read, and returns why stage 2 must not launch, or "" when it
-// can. A cold build that its predicted cost (NumQubits, exact without a
-// build, squared times buildCostPerQubit2) says would leave less than
-// minBudget of the deadline is not started: build_over_budget. So is a
-// launch that a build which ran long has left without minBudget. A build
-// the deadline cuts short keeps nothing, so a later request with more
-// time builds afresh; a build that fails outright is build_failed.
+// can. The build runs under a deadline minBudget before the request's,
+// so service.BuildQUBO does not start a cold build whose predicted cost
+// would leave the racers less than minBudget, and stops one that runs
+// long: build_over_budget. So is a launch that the build has left without
+// minBudget. A build the deadline cuts short keeps nothing, so a later
+// request with more time builds afresh; a build that fails outright
+// (above core.MaxMonolithicRelations, say) is build_failed.
 func (b *Backend) buildStage2(ctx context.Context, enc *core.Encoding) string {
-	if deadline, ok := ctx.Deadline(); ok && !enc.Built() {
-		n := time.Duration(enc.NumQubits())
-		if time.Until(deadline)-minBudget < n*n*buildCostPerQubit2 {
-			return "build_over_budget"
-		}
+	bctx := ctx
+	if deadline, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		bctx, cancel = context.WithDeadline(ctx, deadline.Add(-minBudget))
+		defer cancel()
 	}
-	if err := service.BuildQUBO(ctx, enc); err != nil {
-		if ctx.Err() != nil {
+	if err := service.BuildQUBO(bctx, enc); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
 			return "build_over_budget"
 		}
 		obs.Logger(ctx).WarnContext(ctx, "hybrid stage 2 skipped: the QUBO build failed", "error", err)

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"quantumjoin/internal/core"
-	"quantumjoin/internal/join"
 )
 
 // Params are the per-request solver knobs common to all backends.
@@ -77,28 +76,18 @@ type HybridParams struct {
 // goroutines against shared backend values. The service hands Solve the
 // cached encoding prepared but possibly unbuilt: Query, Opts, NumQubits
 // and the memos are always set, while a backend that reads the model
-// (MILP, BILP, QUBO, Infos, decoding) calls BuildQUBO first. Wrappers
-// (fault injection, retries, a breaker) pass the encoding through
-// unchanged, so the inner backend builds for itself.
+// (MILP, BILP, QUBO, Infos, decoding) calls BuildQUBO first. Every valid
+// query up to join.MaxRelations has a prepared entry; a backend rejects
+// only what it cannot read, as an ErrBadRequest (BuildQUBO refuses a
+// query above core.MaxMonolithicRelations). Wrappers (fault injection,
+// retries, a breaker) pass the encoding through unchanged, so the inner
+// backend builds for itself.
 type Backend interface {
 	// Name is the stable identifier clients select the backend by.
 	Name() string
 	// Solve returns the best valid decoded join order the backend found,
 	// or an error (wrapping ctx.Err() on expiry) when none was found.
 	Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error)
-}
-
-// QueryBackend is implemented by backends that plan directly over the join
-// query instead of a monolithic QUBO encoding — the decomposition backend,
-// which partitions graphs far above the monolithic encoding limit and
-// plans each part classically. The service routes requests for such
-// backends around the encoding cache entirely: no monolithic encode is
-// attempted (it would be rejected above core.MaxMonolithicRelations).
-// SolveQuery receives the query's canonical relabelling, the same instance
-// an encoding backend is handed, and returns its plan in that labelling.
-type QueryBackend interface {
-	Backend
-	SolveQuery(ctx context.Context, q *join.Query, p Params) (*core.Decoded, error)
 }
 
 // BatchSolver is implemented by backends with an amortised many-instance

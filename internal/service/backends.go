@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 
 	"quantumjoin/internal/anneal"
 	"quantumjoin/internal/classical"
@@ -142,11 +143,22 @@ func (b *annealBackend) embedding(ctx context.Context, enc *core.Encoding, seed 
 // span qubo=computed when enc was unbuilt as the call reached it (the call
 // ran the build, or waited on a concurrent one) or qubo=reused otherwise.
 // The QUBO-reading built-in backends call it first in Solve and
-// SolveBatch; dp and greedy read only enc.Query and the optimum memo and
-// never call it, so their cache entries stay unbuilt. A build error fails
-// the solve like any backend error; a build that ctx cut short leaves enc
-// unbuilt for the next request.
+// SolveBatch; dp, greedy and decomp read only enc.Query and the optimum
+// memo and never call it, so their cache entries stay unbuilt.
+//
+// A query above core.MaxMonolithicRelations has no QUBO: the refusal is an
+// ErrBadRequest whose message names decomp. A cold build that ctx's
+// deadline cannot afford is not started (see admitBuild). Neither refusal
+// sets the qubo attribute. A build error fails the solve like any backend
+// error; a build that ctx cut short leaves enc unbuilt for the next
+// request.
 func BuildQUBO(ctx context.Context, enc *core.Encoding) error {
+	if err := oversize(enc); err != nil {
+		return err
+	}
+	if err := admitBuild(ctx, enc); err != nil {
+		return err
+	}
 	obs.ActiveSpan(ctx).SetAttrStr("qubo", reusedAttr(enc.Built()))
 	if err := enc.Build(ctx); err != nil {
 		return fmt.Errorf("service: building the QUBO encoding failed: %w", err)
@@ -163,14 +175,48 @@ func buildQUBOs(ctx context.Context, encs []*core.Encoding, errs []error) {
 		if errs[i] != nil {
 			continue
 		}
-		built, reused = true, reused && enc.Built()
-		if err := enc.Build(ctx); err != nil {
-			errs[i] = fmt.Errorf("service: building the QUBO encoding failed: %w", err)
+		warm := enc.Built()
+		if errs[i] = BuildQUBO(ctx, enc); errs[i] == nil {
+			built, reused = true, reused && warm
 		}
 	}
 	if built {
 		obs.ActiveSpan(ctx).SetAttrStr("qubo", reusedAttr(reused))
 	}
+}
+
+// oversize refuses, as a bad request whose message names decomp, an
+// encoding above core.MaxMonolithicRelations: it has no QUBO to build, and
+// the client chose a backend that cannot plan without one.
+func oversize(enc *core.Encoding) error {
+	if err := core.CheckMonolithic(enc.Query); err != nil {
+		return fmt.Errorf("service: %w: %w", err, ErrBadRequest)
+	}
+	return nil
+}
+
+// buildCostPerQubit2 is the predicted cost of building an encoding's
+// QUBO per squared logical qubit. Builds measured 1.6–4.8 ns per qubit²
+// on a 2-vCPU host (DESIGN.md, "Encoding cache"); the QUBO stage does not
+// poll its context, so the prediction sits at the top of that range.
+const buildCostPerQubit2 = 5 * time.Nanosecond
+
+// admitBuild refuses to start a cold build whose predicted cost
+// (NumQubits, exact without a build, squared times buildCostPerQubit2)
+// exceeds the time left before ctx's deadline. The refusal wraps
+// context.DeadlineExceeded, so it answers 504, or degrades under
+// Config.Degrade, like a solve the deadline cut short.
+func admitBuild(ctx context.Context, enc *core.Encoding) error {
+	deadline, ok := ctx.Deadline()
+	if !ok || enc.Built() {
+		return nil
+	}
+	n := time.Duration(enc.NumQubits())
+	if need, left := n*n*buildCostPerQubit2, time.Until(deadline); need > left {
+		return fmt.Errorf("service: a QUBO build of %d qubits is predicted at %v, %v left: %w",
+			enc.NumQubits(), need.Round(time.Millisecond), left.Round(time.Millisecond), context.DeadlineExceeded)
+	}
+	return nil
 }
 
 // reusedAttr is the span value of a memo decision: the embedding or the
@@ -348,9 +394,13 @@ func (b qaoaBackend) options(shots int) qaoa.RunOptions {
 	}
 }
 
-// overBudget rejects an encoding whose exact qubit count exceeds the
-// statevector budget, before anything is built for it.
+// overBudget rejects an encoding with no QUBO (see oversize) or whose
+// exact qubit count exceeds the statevector budget, before anything is
+// built for it.
 func (b qaoaBackend) overBudget(enc *core.Encoding) error {
+	if err := oversize(enc); err != nil {
+		return err
+	}
 	if n := enc.NumQubits(); n > b.maxQubits {
 		return fmt.Errorf("service: qaoa backend: %d logical qubits exceed the statevector budget of %d: %w", n, b.maxQubits, ErrBadRequest)
 	}
@@ -465,7 +515,8 @@ func (milpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*co
 // dpBackend is the exact classical baseline: DP over relation subsets.
 // The optimum is memoised on the core.Encoding, so a cached encoding is
 // swept once, not once per request; the span of the solve records
-// optimum=reused|computed. It reads no QUBO and never builds one.
+// optimum=reused|computed. It reads no QUBO and never builds one, and
+// rejects a query above classical.MaxDPRelations as a bad request.
 type dpBackend struct{}
 
 // NewDPBackend builds the exact dynamic-programming backend.
@@ -474,6 +525,10 @@ func NewDPBackend() Backend { return dpBackend{} }
 func (dpBackend) Name() string { return "dp" }
 
 func (dpBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
+	if n := enc.Query.NumRelations(); n > classical.MaxDPRelations {
+		return nil, fmt.Errorf("service: dp backend: %d relations exceeds the %d-relation DP limit; use the decomp backend, which partitions the join graph into parts and plans each part by exact DP: %w",
+			n, classical.MaxDPRelations, ErrBadRequest)
+	}
 	// The subset sweep polls the context, so a request deadline interrupts
 	// the table fill on large instances instead of blowing the budget.
 	res, reused, err := enc.OptimalContext(ctx)

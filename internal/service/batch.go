@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"quantumjoin/internal/core"
@@ -47,16 +46,17 @@ type batchMember struct {
 
 // groupKey is the comparable dedup key of one batch item: cache key (an
 // interned string from the encoding cache), backend, and the params that
-// change a solve's output. solo is 0 for dedupable items and index+1 for
-// items that must solve alone (warm starts, hybrid tuning), making their
-// keys unique. A struct key replaces the fmt.Sprintf string the dedup map
-// used to allocate per item.
+// change a solve's output (decomp's part budget among them). solo is 0
+// for dedupable items and index+1 for items that must solve alone (warm
+// starts, hybrid tuning), making their keys unique. A struct key replaces
+// the fmt.Sprintf string the dedup map used to allocate per item.
 type groupKey struct {
-	key   string
-	name  string
-	reads int
-	seed  int64
-	solo  int
+	key        string
+	name       string
+	reads      int
+	seed       int64
+	partBudget int
+	solo       int
 }
 
 // batchScratch is the reusable working set of one solveBatch call,
@@ -124,20 +124,10 @@ func (s *Service) OptimizeBatch(ctx context.Context, reqs []*Request, timeout ti
 	ctx, span := s.cfg.Tracer.Start(ctx, "optimize.batch")
 	span.SetAttr("items", len(reqs))
 
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, s.timeout(timeout))
 	defer cancel()
 
-	run := s.pool.Run
-	if s.cfg.Shed {
-		run = s.pool.TryRun
-	}
-	if err := run(ctx, func(ctx context.Context) {
+	if err := s.run(ctx, func(ctx context.Context) {
 		stats.Unique = s.solveBatch(ctx, reqs, resps, errs)
 	}); err != nil {
 		if errors.Is(err, ErrOverloaded) {
@@ -196,44 +186,13 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 	defer s.batch.Put(b)
 	b.reset()
 
-	soloQuery := 0
 	for i, req := range reqs {
-		if req == nil || req.Query == nil {
-			errs[i] = fmt.Errorf("service: batch item %d has no query: %w", i, ErrBadRequest)
+		backend, err := s.resolve(req)
+		if err != nil {
+			errs[i] = fmt.Errorf("service: batch item %d: %w", i, err)
 			continue
 		}
-		if err := req.Query.Validate(); err != nil {
-			errs[i] = fmt.Errorf("service: batch item %d: invalid query: %v: %w", i, err, ErrBadRequest)
-			continue
-		}
-		name := req.Backend
-		if name == "" {
-			name = s.cfg.DefaultBackend
-		}
-		backend, ok := s.reg.Get(name)
-		if !ok {
-			errs[i] = fmt.Errorf("service: batch item %d: unknown backend %q (have: %s): %w",
-				i, name, strings.Join(s.reg.Names(), ", "), ErrBadRequest)
-			continue
-		}
-		// Query-level backends (decomposition) bypass the monolithic
-		// encode and solve each item solo: their instances cannot be
-		// deduplicated by canonical encoding (no canonicalisation runs),
-		// and per-part solving is already batched internally.
-		if qb, ok := backend.(QueryBackend); ok {
-			resp := resps[i]
-			if resp == nil {
-				resp = &Response{}
-			}
-			if err := s.solveQueryInto(ctx, qb, req, &b.sc, resp); err != nil {
-				errs[i] = err
-				resps[i] = nil
-			} else {
-				resps[i] = resp
-			}
-			soloQuery++
-			continue
-		}
+		name := backend.Name()
 		enc, key, perm, hit, err := s.cache.encodingScratch(req.Query, req.Spec, &b.sc.fp)
 		if err != nil {
 			errs[i] = fmt.Errorf("service: batch item %d: encoding failed: %v: %w", i, err, ErrBadRequest)
@@ -247,7 +206,7 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 		// Warm-started and hybrid-tuned items are never deduplicated:
 		// their extra inputs are not part of the group key.
 		p := req.Params
-		gk := groupKey{key: key, name: name, reads: p.Reads, seed: p.Seed}
+		gk := groupKey{key: key, name: name, reads: p.Reads, seed: p.Seed, partBudget: p.Decomp.PartBudget}
 		if len(p.InitialState) != 0 || len(p.Hybrid.Portfolio) != 0 || p.Hybrid.HedgeDelay != 0 {
 			gk = groupKey{solo: i + 1}
 		}
@@ -340,7 +299,7 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 			}
 		}
 	}
-	return len(b.groups) + soloQuery
+	return len(b.groups)
 }
 
 // safeSolveBatch invokes a BatchSolver with the same panic containment as

@@ -399,17 +399,6 @@ func (c *EncodingCache) prepare(sum [32]byte, key string, q *join.Query, perm []
 	return c.put(sum, key, enc), nil
 }
 
-// entry returns the encoding cached under sum, preparing and inserting
-// q's on a miss, without counting a lookup. A query-level backend's
-// request (decomp) reads the classical optimum memo of its entry this
-// way; its own answer never comes from the cache.
-func (c *EncodingCache) entry(sum [32]byte, key string, q *join.Query, perm []int, spec EncodeSpec) (*core.Encoding, error) {
-	if enc, _, ok := c.get(sum); ok {
-		return enc, nil
-	}
-	return c.prepare(sum, key, q, perm, spec.withDefaults())
-}
-
 func (c *EncodingCache) get(sum [32]byte) (*core.Encoding, string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

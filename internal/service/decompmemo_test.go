@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,10 +33,11 @@ func decompRequest(t *testing.T, svc *service.Service, tracer *obs.Tracer, q *jo
 // TestDecompOptimumMemo: the optimal-cost comparison of a non-lean decomp
 // request reads the optimum memo of the query's prepared cache entry, so
 // the first request sweeps (optimum=computed), a repeat — relabelled,
-// too — reads the memo (optimum=reused) and reports the same cost, and a
-// dp request on the same shape finds the entry and its optimum. Nothing
-// builds a QUBO. A spec that Prepare rejects has no entry, and the
-// comparison sweeps unmemoised.
+// too — hits the entry, reads the memo (optimum=reused) and reports the
+// same cost, and a dp request on the same shape finds the entry and its
+// optimum. Every response reports the entry's qubit count, and nothing
+// builds a QUBO. A spec that Prepare rejects is a bad request on decomp as
+// on every backend.
 func TestDecompOptimumMemo(t *testing.T) {
 	q, err := querygen.Generate(querygen.Config{Relations: 12, Graph: querygen.Clique}, rand.New(rand.NewSource(41)))
 	if err != nil {
@@ -57,7 +59,7 @@ func TestDecompOptimumMemo(t *testing.T) {
 	// bits.
 	near := func(got float64) bool { return math.Abs(got-want.Cost) <= 1e-9*want.Cost }
 
-	first := 0.0
+	first, qubits := 0.0, 0
 	for i, tc := range []struct {
 		q    *join.Query
 		attr string
@@ -71,13 +73,13 @@ func TestDecompOptimumMemo(t *testing.T) {
 			t.Errorf("request %d: optimum = %v, want %s", i, got, tc.attr)
 		}
 		if i == 0 {
-			first = resp.OptimalCost
+			first, qubits = resp.OptimalCost, resp.LogicalQubits
 		}
 		if !near(resp.OptimalCost) || resp.OptimalCost != first {
 			t.Errorf("request %d: optimal_cost = %v, want the first request's %v (DP: %v)", i, resp.OptimalCost, first, want.Cost)
 		}
-		if resp.CacheHit || resp.LogicalQubits != 0 {
-			t.Errorf("request %d: cache_hit %v, logical_qubits %d; a decomp answer uses no encoding", i, resp.CacheHit, resp.LogicalQubits)
+		if resp.CacheHit != (i > 0) || resp.LogicalQubits != qubits || qubits <= 0 {
+			t.Errorf("request %d: cache_hit %v, logical_qubits %d; want a hit on every repeat and the entry's qubit count %d", i, resp.CacheHit, resp.LogicalQubits, qubits)
 		}
 		if n := countSpans(&root, "encode"); n != 0 {
 			t.Errorf("request %d: %d encode spans, want none", i, n)
@@ -88,16 +90,15 @@ func TestDecompOptimumMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.CacheHit || resp.OptimalCost != first || !near(resp.Cost) {
-		t.Errorf("dp after decomp: cache_hit %v, cost %v, optimal_cost %v; want the decomp requests' entry and its optimum %v", resp.CacheHit, resp.Cost, resp.OptimalCost, first)
+	if !resp.CacheHit || resp.OptimalCost != first || !near(resp.Cost) || resp.LogicalQubits != qubits {
+		t.Errorf("dp after decomp: cache_hit %v, cost %v, optimal_cost %v, logical_qubits %d; want the decomp requests' entry, its optimum %v and its %d qubits", resp.CacheHit, resp.Cost, resp.OptimalCost, resp.LogicalQubits, first, qubits)
 	}
 	if n := countSpans(&tracer.Snapshots()[0].Root, "encode"); n != 0 {
 		t.Errorf("dp after decomp built the QUBO (%d encode spans)", n)
 	}
 
-	resp, root := decompRequest(t, svc, tracer, q, service.EncodeSpec{Omega: -1})
-	if _, ok := root.Attrs["optimum"]; ok || !near(resp.OptimalCost) {
-		t.Errorf("rejected spec: optimum attr %v, optimal_cost %v; want an unmemoised comparison with cost %v", root.Attrs["optimum"], resp.OptimalCost, want.Cost)
+	if _, err := svc.Optimize(context.Background(), &service.Request{Query: q, Backend: decomp.Name, Spec: service.EncodeSpec{Omega: -1}}); !errors.Is(err, service.ErrBadRequest) {
+		t.Errorf("rejected spec: err = %v, want a bad request", err)
 	}
 }
 

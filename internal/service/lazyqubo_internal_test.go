@@ -148,8 +148,10 @@ func prepareQubits(q *join.Query, spec EncodeSpec) (int, error) {
 	return enc.QUBO.N(), nil
 }
 
-// TestLazyQUBOOversizeStillBadRequest: a 40-relation dp request is still
-// rejected before any backend runs, with a 400 that points at decomp.
+// TestLazyQUBOOversizeStillBadRequest: a 40-relation dp request is
+// prepared and cached like any other, and the dp backend, whose exact
+// sweep stops at classical.MaxDPRelations, rejects it with a 400 that
+// points at decomp.
 func TestLazyQUBOOversizeStillBadRequest(t *testing.T) {
 	_, ts := newTestServer(t)
 	rels := make([]map[string]any, 40)

@@ -39,11 +39,12 @@ func lazyPair() *join.Query {
 
 var lazySpec = service.EncodeSpec{Thresholds: 1}
 
-// lazyService assembles qjoind's registry: the built-in backends, the
-// hybrid orchestrator and the decomposition backend. With wrapped set,
-// anneal, tabu, qaoa and milp sit behind qjoind's resilience stack
-// (fault injection with every fault rate at zero, retries, a breaker).
-func lazyService(t *testing.T, wrapped bool, tracer *obs.Tracer) *service.Service {
+// lazyService assembles qjoind's registry, with Degrade on: the built-in
+// backends, the hybrid orchestrator and the decomposition backend. With
+// wrapped set, anneal, tabu, qaoa and milp sit behind qjoind's resilience
+// stack (fault injection with every fault rate at zero, retries, a
+// breaker).
+func lazyService(t *testing.T, wrapped bool, tracer *obs.Tracer) (*service.Service, *service.Registry) {
 	t.Helper()
 	reg := service.DefaultRegistry(service.RegistryConfig{PegasusM: 3, QAOAIterations: 2})
 	svc := service.New(reg, service.Config{Workers: 4, Degrade: true, Tracer: tracer})
@@ -69,7 +70,7 @@ func lazyService(t *testing.T, wrapped bool, tracer *obs.Tracer) *service.Servic
 	if err := reg.Register(decomp.New(2)); err != nil {
 		t.Fatal(err)
 	}
-	return svc
+	return svc, reg
 }
 
 // lazyQuery is the query each backend is exercised on.
@@ -81,12 +82,10 @@ func lazyQuery(backend string) *join.Query {
 }
 
 // eagerQubits is the logical-qubit count of an eagerly built encoding of
-// q under lazySpec (0 for decomp, which builds none).
-func eagerQubits(t *testing.T, backend string, q *join.Query) int {
+// q under lazySpec, which every response reports, whether or not its
+// backend built the QUBO.
+func eagerQubits(t *testing.T, q *join.Query) int {
 	t.Helper()
-	if backend == "decomp" {
-		return 0
-	}
 	enc, err := core.Encode(q, core.Options{Thresholds: core.DefaultThresholds(q, lazySpec.Thresholds)})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func checkLazyResponse(t *testing.T, what, backend string, q *join.Query, resp *
 	if resp.CacheHit != wantHit {
 		t.Errorf("%s: cache_hit = %v, want %v", what, resp.CacheHit, wantHit)
 	}
-	if want := eagerQubits(t, backend, q); resp.LogicalQubits != want {
+	if want := eagerQubits(t, q); resp.LogicalQubits != want {
 		t.Errorf("%s: logical_qubits = %d, the eager encoding has %d", what, resp.LogicalQubits, want)
 	}
 }
@@ -122,14 +121,12 @@ func checkLazyResponse(t *testing.T, what, backend string, q *join.Query, resp *
 func TestLazyQUBOEveryBackend(t *testing.T) {
 	for _, wrapped := range []bool{false, true} {
 		tracer := obs.NewTracer(obs.Options{Capacity: 256, SampleRate: 1})
-		svc := lazyService(t, wrapped, tracer)
+		svc, _ := lazyService(t, wrapped, tracer)
 		for _, name := range svc.Backends() {
 			if wrapped && name != "anneal" && name != "tabu" && name != "qaoa" && name != "milp" {
 				continue
 			}
 			q := lazyQuery(name)
-			// decomp plans the query directly and never touches the cache.
-			cached := name != "decomp"
 			for _, dpFirst := range []bool{false, true} {
 				what := fmt.Sprintf("%s (wrapped %v, dp first %v)", name, wrapped, dpFirst)
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -143,7 +140,7 @@ func TestLazyQUBOEveryBackend(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				checkLazyResponse(t, what, name, q, resp, cached && dpFirst)
+				checkLazyResponse(t, what, name, q, resp, dpFirst)
 
 				svc.PurgeCache()
 				if dpFirst {
@@ -160,7 +157,7 @@ func TestLazyQUBOEveryBackend(t *testing.T) {
 					if errs[i] != nil {
 						t.Fatalf("%s: batch item %d: %v", what, i, errs[i])
 					}
-					checkLazyResponse(t, fmt.Sprintf("%s batch item %d", what, i), name, q, resps[i], cached && (dpFirst || i > 0))
+					checkLazyResponse(t, fmt.Sprintf("%s batch item %d", what, i), name, q, resps[i], dpFirst || i > 0)
 				}
 				cancel()
 			}
@@ -196,7 +193,7 @@ func TestLazyQUBOConcurrentFirstUse(t *testing.T) {
 	callers := 2 * len(backends)
 	for _, wrapped := range []bool{false, true} {
 		tracer := obs.NewTracer(obs.Options{Capacity: 2 * callers, SampleRate: 1})
-		svc := lazyService(t, wrapped, tracer)
+		svc, _ := lazyService(t, wrapped, tracer)
 		var wg sync.WaitGroup
 		qubits := make([]int, callers)
 		for i := 0; i < callers; i++ {
@@ -229,7 +226,7 @@ func TestLazyQUBOConcurrentFirstUse(t *testing.T) {
 		wg.Wait()
 		for i, n := range qubits {
 			name := backends[i%len(backends)]
-			if want := eagerQubits(t, name, lazyQuery(name)); n != want {
+			if want := eagerQubits(t, lazyQuery(name)); n != want {
 				t.Errorf("caller %d (%s, wrapped %v): logical_qubits = %d, want %d", i, name, wrapped, n, want)
 			}
 		}

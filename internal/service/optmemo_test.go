@@ -152,14 +152,14 @@ func TestFallbackReadsOptimumMemo(t *testing.T) {
 	}
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	if _, producer := svc.fallback(expired, q, enc); producer != "greedy" {
+	if _, producer := svc.fallback(expired, enc); producer != "greedy" {
 		t.Fatalf("no stored optimum, deadline passed: fallback %s, want greedy", producer)
 	}
 	opt, err := enc.Optimal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, producer := svc.fallback(expired, q, enc)
+	d, producer := svc.fallback(expired, enc)
 	if producer != "dp" || !reflect.DeepEqual(d.Order, opt.Order) || d.Cost != opt.Cost {
 		t.Errorf("stored optimum, deadline passed: fallback %s with %v (cost %v), want dp with %v (cost %v)",
 			producer, d.Order, d.Cost, opt.Order, opt.Cost)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -166,8 +165,11 @@ type Response struct {
 	// OptimalCost.
 	OptimalCost float64
 	Optimal     bool
-	// LogicalQubits is the QUBO encoding size: 0 for a query-level backend
-	// (decomp), which builds no QUBO.
+	// LogicalQubits is the exact logical-qubit count of the query's
+	// monolithic QUBO encoding, which the cache entry knows without a
+	// build: the same for every backend, whether or not it built the QUBO
+	// (dp, greedy and decomp never do, nor does anything above
+	// core.MaxMonolithicRelations).
 	LogicalQubits int
 	// CacheKey is the permutation-invariant WL-hash fingerprint of (query
 	// shape, encoding options) — the encoding-cache key and the cluster
@@ -281,40 +283,17 @@ func (s *Service) Optimize(ctx context.Context, req *Request) (*Response, error)
 }
 
 func (s *Service) optimize(ctx context.Context, req *Request, start time.Time) (*Response, error) {
-	if req.Query == nil {
-		return nil, fmt.Errorf("service: request has no query: %w", ErrBadRequest)
+	backend, err := s.resolve(req)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	if err := req.Query.Validate(); err != nil {
-		return nil, fmt.Errorf("service: invalid query: %v: %w", err, ErrBadRequest)
-	}
-	name := req.Backend
-	if name == "" {
-		name = s.cfg.DefaultBackend
-	}
-	backend, ok := s.reg.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("service: unknown backend %q (have: %s): %w",
-			name, strings.Join(s.reg.Names(), ", "), ErrBadRequest)
-	}
-
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.Timeout))
 	defer cancel()
 
-	run := s.pool.Run
-	if s.cfg.Shed {
-		run = s.pool.TryRun
-	}
-	var resp *Response
+	resp := &Response{}
 	var solveErr error
-	if err := run(ctx, func(ctx context.Context) {
-		resp, solveErr = s.solve(ctx, backend, req)
+	if err := s.run(ctx, func(ctx context.Context) {
+		solveErr = s.solveInto(ctx, backend, req, resp)
 	}); err != nil {
 		if errors.Is(err, ErrPanic) {
 			s.metrics.panics.Add(1)
@@ -328,18 +307,52 @@ func (s *Service) optimize(ctx context.Context, req *Request, start time.Time) (
 	return resp, nil
 }
 
-// solve runs on a pool worker: encoding (cached), panic-guarded backend
-// solve, result vetting, optional classical degradation, and mapping the
-// canonical-labelled result back into the request's indexing.
-func (s *Service) solve(ctx context.Context, backend Backend, req *Request) (*Response, error) {
-	resp := &Response{}
-	if err := s.solveInto(ctx, backend, req, resp); err != nil {
-		return nil, err
+// resolve validates req and looks its backend up, the checks a request
+// makes before it is solved, alone or in a batch. Its errors are client
+// errors without the caller's prefix.
+func (s *Service) resolve(req *Request) (Backend, error) {
+	if req == nil || req.Query == nil {
+		return nil, fmt.Errorf("request has no query: %w", ErrBadRequest)
 	}
-	return resp, nil
+	if err := req.Query.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid query: %v: %w", err, ErrBadRequest)
+	}
+	name := req.Backend
+	if name == "" {
+		name = s.cfg.DefaultBackend
+	}
+	backend, ok := s.reg.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown backend %q (have: %s): %w",
+			name, strings.Join(s.reg.Names(), ", "), ErrBadRequest)
+	}
+	return backend, nil
 }
 
-// solveInto is solve writing into a caller-owned Response: the warm path
+// timeout is the deadline a request gets for its requested timeout t:
+// the default when t is not positive, and at most Config.MaxTimeout.
+func (s *Service) timeout(t time.Duration) time.Duration {
+	if t <= 0 {
+		t = s.cfg.DefaultTimeout
+	}
+	return min(t, s.cfg.MaxTimeout)
+}
+
+// run runs f on the pool: with Config.Shed a full queue rejects it at
+// once, otherwise it waits for a slot until ctx ends.
+func (s *Service) run(ctx context.Context, f func(context.Context)) error {
+	if s.cfg.Shed {
+		return s.pool.TryRun(ctx, f)
+	}
+	return s.pool.Run(ctx, f)
+}
+
+// solveInto runs one request on a pool worker, writing into a caller-
+// owned Response: encoding (cached), panic-guarded backend solve, result
+// vetting, optional classical degradation, and mapping the canonical-
+// labelled result back into the request's indexing. It is the one
+// request path: every backend, decomp included, solves the request's
+// prepared cache entry and rejects only what it cannot read. The warm path
 // (cache hit, healthy backend, Lean request, tracing off) performs zero
 // allocations beyond whatever the backend itself does — fingerprint and
 // decode scratch comes from the service's reqScratch pool and the
@@ -347,14 +360,6 @@ func (s *Service) solve(ctx context.Context, backend Backend, req *Request) (*Re
 func (s *Service) solveInto(ctx context.Context, backend Backend, req *Request, resp *Response) error {
 	sc := s.scratch.Get().(*reqScratch)
 	defer s.scratch.Put(sc)
-
-	// Query-level backends (decomposition) plan over the join graph
-	// directly and build no encoding; routing them
-	// through the monolithic encode would be wasted work at best and a
-	// hard error above core.MaxMonolithicRelations.
-	if qb, ok := backend.(QueryBackend); ok {
-		return s.solveQueryInto(ctx, qb, req, sc, resp)
-	}
 
 	// A hit is recorded as an attribute on the active (root) span rather
 	// than a noise span. The entry is prepared, not built: a backend that
@@ -401,7 +406,7 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 			return err
 		}
 		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, enc.Query, enc)
+		d, producer = s.fallback(fbCtx, enc)
 		fbSpan.SetAttrStr("fallback", producer)
 		fbSpan.End(nil)
 		degraded, reason = true, err.Error()
@@ -440,7 +445,7 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 	resp.DegradedReason = reason
 	resp.Elapsed = 0
 	if s.compares(req) {
-		compareOptimal(ctx, enc, req.Query, resp)
+		compareOptimal(ctx, enc, resp)
 	}
 	decodeSpan.End(nil)
 	return nil
@@ -452,32 +457,18 @@ func (s *Service) compares(req *Request) bool {
 	return !req.Lean && s.cfg.CompareRelations > 0 && req.Query.NumRelations() <= s.cfg.CompareRelations
 }
 
-// optimum returns the exact DP optimum of q, the canonical instance: from
-// the optimum memo of enc, q's cache entry, which the first sweep that
-// completes fills for every later request on the entry (plan costs are
-// invariant under relation relabelling), or from an unmemoised sweep when
-// enc is nil. reused reports a memo hit. A sweep the deadline cuts short
-// fails and leaves the memo empty.
-func optimum(ctx context.Context, enc *core.Encoding, q *join.Query) (res classical.Result, reused bool, err error) {
-	if enc != nil {
-		return enc.OptimalContext(ctx)
-	}
-	res, err = classical.OptimalContext(ctx, q)
-	return res, false, err
-}
-
-// compareOptimal sets resp's optimal-cost comparison from the optimum of
-// q (see optimum), and records a memo read on the active span as
-// optimum=reused|computed. A sweep the deadline cuts short skips the
-// comparison.
-func compareOptimal(ctx context.Context, enc *core.Encoding, q *join.Query, resp *Response) {
-	opt, reused, err := optimum(ctx, enc, q)
+// compareOptimal sets resp's optimal-cost comparison from the optimum
+// memo of enc, the request's cache entry: the first sweep that completes
+// fills it for every later request on the entry (plan costs are invariant
+// under relation relabelling). It records the memo read on the active
+// span as optimum=reused|computed. A sweep the deadline cuts short skips
+// the comparison.
+func compareOptimal(ctx context.Context, enc *core.Encoding, resp *Response) {
+	opt, reused, err := enc.OptimalContext(ctx)
 	if err != nil {
 		return
 	}
-	if enc != nil {
-		obs.ActiveSpan(ctx).SetAttrStr("optimum", reusedAttr(reused))
-	}
+	obs.ActiveSpan(ctx).SetAttrStr("optimum", reusedAttr(reused))
 	resp.OptimalCost = opt.Cost
 	resp.Optimal = resp.Cost <= opt.Cost*(1+1e-9)+1e-12
 }
@@ -514,106 +505,14 @@ func vetDecoded(n int, backend string, d *core.Decoded) error {
 // once the deadline has passed), the greedy plan otherwise. Greedy is pure
 // microsecond-scale compute and needs no context, so it succeeds even when
 // the deadline is already blown — the degraded answer is always available.
-// enc, when not nil, is q's cache entry: the DP plan then comes from its
-// optimum memo, without a sweep when the optimum is already stored.
-func (s *Service) fallback(ctx context.Context, q *join.Query, enc *core.Encoding) (*core.Decoded, string) {
-	n := q.NumRelations()
-	if s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		if res, _, err := optimum(ctx, enc, q); err == nil {
+// The DP plan comes from the optimum memo of enc, the request's cache
+// entry, without a sweep when the optimum is already stored.
+func (s *Service) fallback(ctx context.Context, enc *core.Encoding) (*core.Decoded, string) {
+	if s.cfg.CompareRelations > 0 && enc.Query.NumRelations() <= s.cfg.CompareRelations {
+		if res, _, err := enc.OptimalContext(ctx); err == nil {
 			return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, "dp"
 		}
 	}
-	res := classical.Greedy(q)
+	res := classical.Greedy(enc.Query)
 	return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, "greedy"
-}
-
-// solveQueryInto serves a QueryBackend request. The WL fingerprint is
-// still computed — it is the response CacheKey and the cluster routing
-// key — but no monolithic encoding is built: the backend's answer never
-// comes from the cache. As on the encoding path, the backend plans the
-// canonical relabelling of the query and its order is translated back
-// into the request's own relation indexing, so relabelling a request's
-// relations cannot change its plan. The query's prepared cache entry holds
-// its optimum memo, which the degrade fallback and the optimal-cost
-// comparison read, so repeats of a query shape sweep its DP once.
-func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req *Request, sc *reqScratch, resp *Response) error {
-	sum, perm := sc.fp.sum(req.Query, req.Spec)
-	key := hex.EncodeToString(sum[:])
-	cq := canonicalize(req.Query, perm)
-	obs.ActiveSpan(ctx).SetAttrBool("cache_hit", false)
-
-	bm := s.metrics.Backend(backend.Name())
-	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-	solveSpan.SetAttrStr("backend", backend.Name())
-	solveStart := time.Now()
-	d, err := s.safeSolveQuery(solveCtx, backend, cq, req.Params)
-	if err == nil {
-		err = vetDecoded(req.Query.NumRelations(), backend.Name(), d)
-	}
-	bm.Observe(time.Since(solveStart), err)
-	solveSpan.End(err)
-
-	// Only a request that may read the optimum fetches the entry (both
-	// readers stop above CompareRelations). It stays nil where Prepare
-	// rejects the spec, say above core.MaxMonolithicRelations, and both
-	// readers then sweep unmemoised.
-	var enc *core.Encoding
-	if n := req.Query.NumRelations(); (err != nil || !req.Lean) && s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		enc, _ = s.cache.entry(sum, key, req.Query, perm, req.Spec)
-	}
-
-	producer := backend.Name()
-	degraded := false
-	reason := ""
-	if err != nil {
-		if !s.cfg.Degrade || errors.Is(err, ErrBadRequest) {
-			return err
-		}
-		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, cq, enc)
-		fbSpan.SetAttrStr("fallback", producer)
-		fbSpan.End(nil)
-		degraded, reason = true, err.Error()
-		s.metrics.degrades.Add(1)
-		s.metrics.Backend(producer).RecordDegraded()
-		if errors.Is(err, ErrPanic) {
-			s.metrics.panics.Add(1)
-		}
-		obs.Logger(ctx).WarnContext(ctx, "backend failed, degrading to classical plan",
-			"backend", backend.Name(), "fallback", producer, "error", reason)
-	}
-
-	order := sc.requestOrder(perm, d.Order, resp.Order[:0])
-
-	resp.Backend = producer
-	resp.Order = order
-	resp.Tree = ""
-	if !req.Lean {
-		resp.Tree = req.Query.Tree(order)
-	}
-	resp.Cost = req.Query.Cost(order)
-	resp.OptimalCost = 0
-	resp.Optimal = false
-	resp.LogicalQubits = 0
-	resp.CacheKey = key
-	resp.CacheHit = false
-	resp.Degraded = degraded
-	resp.DegradedReason = reason
-	resp.Elapsed = 0
-	if s.compares(req) {
-		compareOptimal(ctx, enc, cq, resp)
-	}
-	return nil
-}
-
-// safeSolveQuery is safeSolve for query-level backends: panic containment
-// around SolveQuery.
-func (s *Service) safeSolveQuery(ctx context.Context, backend QueryBackend, q *join.Query, p Params) (d *core.Decoded, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d = nil
-			err = fmt.Errorf("service: backend %q panicked: %v: %w", backend.Name(), r, ErrPanic)
-		}
-	}()
-	return backend.SolveQuery(ctx, q, p)
 }

@@ -354,8 +354,16 @@ func TestFallbackLetsTheSweepDecide(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A fresh entry per call, so neither reads the other's optimum memo.
+	prepared := func() *core.Encoding {
+		enc, err := core.Prepare(q, core.Options{Thresholds: core.DefaultThresholds(q, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
-	d, producer := svc.fallback(ctx, q, nil)
+	d, producer := svc.fallback(ctx, prepared())
 	cancel()
 	if producer != "dp" || d.Cost != opt.Cost {
 		t.Errorf("8 ms left: fallback %s with cost %v, want dp with the optimum %v", producer, d.Cost, opt.Cost)
@@ -363,7 +371,7 @@ func TestFallbackLetsTheSweepDecide(t *testing.T) {
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	d, producer = svc.fallback(expired, q, nil)
+	d, producer = svc.fallback(expired, prepared())
 	if greedy := classical.Greedy(q); producer != "greedy" || d.Cost != greedy.Cost {
 		t.Errorf("deadline passed: fallback %s with cost %v, want greedy's %v", producer, d.Cost, greedy.Cost)
 	}
